@@ -42,7 +42,6 @@ from .montecarlo import (  # noqa: F401
     ReplicationResult,
     qq_points,
     replicate,
-    standardized_sample_mean,
 )
 from .experiment import (  # noqa: F401
     DEFAULT_SEED,

@@ -4,9 +4,10 @@ A run draws R independent replicates of T_n = (n/s_n) * (mean(X) - mu),
 builds the empirical CDF of the replicates, measures its Kolmogorov distance
 to the standard normal, and produces QQ points (Phi^-1(t), E^-1(t)).
 
-Replicate i always uses a generator split from the master seed by i, so a
-run is reproducible and independent of how replicates are scheduled across
-workers.
+Replicate i always uses a generator split from the master seed by i, and
+its sum is correctly rounded (``analytic.exact_sums``, bit for bit
+``math.fsum`` of the row), so a run is reproducible and independent of how
+replicates are scheduled across workers or stacked into reduction blocks.
 """
 
 from __future__ import annotations
@@ -18,14 +19,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as _rng
-from .analytic import array_stats, kolmogorov_distance_to_normal, normal_quantile
+from .analytic import (array_stats, exact_sums, kolmogorov_distance_to_normal,
+                       normal_quantile)
 from .model import BaseDistribution, ContaminationScheme, draw_centered_row
 
 __all__ = [
     "EmpiricalCdf",
     "QQPoint",
     "ReplicationResult",
-    "standardized_sample_mean",
     "replicate",
     "qq_points",
     "default_t_grid",
@@ -106,26 +107,9 @@ class ReplicationResult:
                 and np.array_equal(self.samples, other.samples))
 
 
-def _standardized_stat(n: int, p: np.ndarray, sigma: np.ndarray, s_n: float,
-                       dist: BaseDistribution, rng: np.random.Generator) -> float:
-    centered = draw_centered_row(n, p, sigma, dist, rng)
-    return math.fsum(centered.tolist()) / s_n
-
-
-def standardized_sample_mean(n: int, scheme: ContaminationScheme,
-                             dist: BaseDistribution, mu: float,
-                             rng: np.random.Generator) -> float:
-    """One draw of (n/s_n) * (mean of X_1..X_n - mu).
-
-    The row is drawn as in :func:`contamclt.model.draw_centered_row` and the
-    sum is accumulated with exact compensated summation; mu cancels
-    algebraically, so no precision is lost to centering even for large mu.
-    """
-    if n < 1:
-        raise ValueError(f"sample size must be >= 1, got {n}")
-    stats = array_stats(scheme, n)
-    p, s2 = scheme.weights(n)
-    return _standardized_stat(n, p, np.sqrt(s2), math.sqrt(stats.s2_n), dist, rng)
+# Replicate rows are stacked into blocks of at most this many elements (at
+# least one row) and each block is reduced by one ``exact_sums`` call.
+_BLOCK_ELEMS = 1 << 16
 
 
 def _replicate_chunk(args) -> np.ndarray:
@@ -133,10 +117,15 @@ def _replicate_chunk(args) -> np.ndarray:
     p, s2 = scheme.weights(n)
     sigma = np.sqrt(s2)
     s_n = math.sqrt(array_stats(scheme, n).s2_n)
+    step = max(1, _BLOCK_ELEMS // n)
+    block = np.empty((min(step, hi - lo), n))
     out = np.empty(hi - lo, dtype=np.float64)
-    for i in range(lo, hi):
-        out[i - lo] = _standardized_stat(n, p, sigma, s_n,
-                                         dist, _rng.stream_generator(master_seed, i))
+    for start in range(lo, hi, step):
+        rows = block[:min(step, hi - start)]
+        for j, row in enumerate(rows):
+            row[:] = draw_centered_row(n, p, sigma, dist,
+                                       _rng.stream_generator(master_seed, start + j))
+        out[start - lo:start - lo + len(rows)] = exact_sums(rows) / s_n
     return out
 
 

@@ -1,0 +1,165 @@
+"""The vectorized exact row sum agrees with math.fsum bit for bit.
+
+``exact_sums`` is the one reduction behind replicate sums and the chunked
+sums of ``array_stats``.  Every property here compares it row by row with
+``math.fsum(row.tolist())`` as int64 bit patterns (so -0.0, +0.0 and nan
+payloads count), or, where fsum raises, asks for the same exception type.
+"""
+
+import math
+import threading
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from contamclt.analytic import exact_sums
+
+TINY = 2.0 ** -1074
+MAX_EXP = 1022
+
+
+def _fsum_or_error(row):
+    try:
+        return math.fsum(row)
+    except (ValueError, OverflowError) as exc:
+        return type(exc)
+
+
+def _assert_matches_fsum(rows):
+    """exact_sums on the rows as one block equals fsum row by row."""
+    width = len(rows[0])
+    block = np.array(rows, dtype=np.float64).reshape(len(rows), width)
+    want = [_fsum_or_error(row) for row in block.tolist()]
+    errors = [w for w in want if isinstance(w, type)]
+    if errors:
+        with pytest.raises(errors[0]):
+            exact_sums(block)
+        return
+    got = exact_sums(block)
+    assert got.shape == (len(rows),)
+    assert got.view(np.int64).tolist() == np.array(want).view(np.int64).tolist()
+
+
+def _blocks(row, min_width=1):
+    """1-4 rows of one shared width drawn from a row strategy."""
+    return st.integers(min_width, 60).flatmap(
+        lambda n: st.lists(row(n), min_size=1, max_size=4))
+
+
+def _spread(n):
+    """Rows whose exponents spread over 2**-1074 .. 2**1022."""
+    return st.lists(st.builds(math.ldexp, st.floats(-2.0, 2.0),
+                              st.integers(-1074, MAX_EXP)),
+                    min_size=n, max_size=n)
+
+
+def _cancelling(n):
+    """Pairs x, -x in shuffled order with small values between them."""
+    pairs = n // 3
+    return st.tuples(
+        st.lists(st.floats(-1e300, 1e300), min_size=pairs, max_size=pairs),
+        st.lists(st.floats(-1e-5, 1e-5), min_size=n - 2 * pairs, max_size=n - 2 * pairs),
+    ).flatmap(lambda t: st.permutations(t[0] + [-x for x in t[0]] + t[1]))
+
+
+def _subnormal(n):
+    return st.lists(st.integers(-(2 ** 52 - 1), 2 ** 52 - 1).map(lambda k: k * TINY),
+                    min_size=n, max_size=n)
+
+
+def _zeros(n):
+    return st.lists(st.sampled_from([0.0, -0.0]), min_size=n, max_size=n)
+
+
+def _ties(n):
+    """x plus half an ulp of x, padded with zeros to n >= 3 entries: a
+    round-half-even tie, or a near-tie when the third entry breaks it."""
+    base = st.floats(-1e300, 1e300, allow_nan=False).filter(lambda x: x != 0.0)
+    return st.tuples(base, st.sampled_from([0.0, TINY, -TINY])).map(
+        lambda t: [t[0], math.copysign(math.ulp(t[0]) / 2, t[0]), t[1]] + [0.0] * (n - 3))
+
+
+def _near_overflow(n):
+    """Entries near the top of the range: fsum's intermediate overflow, or
+    rows just past the splitter's limit that must fall back to fsum."""
+    big = st.sampled_from([1e308, -1e308, 2.0 ** 1021, -(2.0 ** 1021),
+                           2.0 ** MAX_EXP / (2 * n), math.ldexp(1.0, 1020)])
+    return st.lists(st.one_of(big, st.floats(-1.0, 1.0)), min_size=n, max_size=n)
+
+
+def _specials(n):
+    special = st.sampled_from([math.inf, -math.inf, math.nan])
+    return st.lists(st.one_of(special, st.floats(-1e10, 1e10)), min_size=n, max_size=n)
+
+
+@pytest.mark.parametrize("row", [_spread, _cancelling, _subnormal, _zeros],
+                         ids=["spread", "cancelling", "subnormal", "zeros"])
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_matches_fsum(row, data):
+    _assert_matches_fsum(data.draw(_blocks(row)))
+
+
+@given(rows=_blocks(_ties, min_width=3))
+@settings(max_examples=150, deadline=None)
+def test_matches_fsum_on_half_ulp_ties(rows):
+    _assert_matches_fsum(rows)
+
+
+@given(rows=st.lists(st.lists(st.floats(allow_nan=True, allow_infinity=True),
+                              min_size=1, max_size=1), min_size=1, max_size=6))
+@settings(max_examples=150, deadline=None)
+def test_matches_fsum_on_single_entry_rows(rows):
+    _assert_matches_fsum(rows)
+
+
+@pytest.mark.parametrize("row", [_near_overflow, _specials], ids=["near-overflow", "specials"])
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_fallback_rows_match_fsum(row, data):
+    _assert_matches_fsum(data.draw(_blocks(row)))
+
+
+def test_all_zero_rows_give_positive_zero():
+    got = exact_sums(np.array([[-0.0, -0.0], [0.0, -0.0]]))
+    assert got.view(np.int64).tolist() == [0, 0]
+
+
+def test_ties_round_half_even():
+    u = 2.0 ** -53
+    got = exact_sums(np.array([[1.0, u, 0.0], [1.0 + 2 * u, u, 0.0], [1.0, u, TINY]]))
+    assert got.tolist() == [1.0, 1.0 + 4 * u, 1.0 + 2 * u]
+
+
+def test_fsum_exceptions_are_raised():
+    with pytest.raises(OverflowError):
+        exact_sums(np.array([[1e308, 1e308, -1e308]]))
+    with pytest.raises(ValueError):
+        exact_sums(np.array([[1.0, 2.0], [math.inf, -math.inf]]))
+    assert math.isnan(exact_sums(np.array([[math.nan, 1.0]]))[0])
+    assert exact_sums(np.array([[math.inf, 1.0]]))[0] == math.inf
+
+
+def test_level_loop_terminates_over_the_whole_exponent_range():
+    # every binade from 2**-1074 up, kept below the fallback limit so that
+    # the splitter, not fsum, handles the row (about 50 levels)
+    powers = np.ldexp(1.0, np.arange(-1074, 1000))
+    block = np.stack([np.concatenate([powers, -0.75 * powers]),
+                      np.concatenate([powers[::-1], np.zeros_like(powers)])])
+    assert 2 * block.shape[1] * np.abs(block).max() < 2.0 ** MAX_EXP
+    result = []
+    worker = threading.Thread(target=lambda: result.append(exact_sums(block)), daemon=True)
+    worker.start()
+    worker.join(timeout=30.0)
+    assert not worker.is_alive(), "level loop did not terminate"
+    want = [math.fsum(row) for row in block.tolist()]
+    assert result[0].view(np.int64).tolist() == np.array(want).view(np.int64).tolist()
+
+
+def test_shape_checks_and_empty_rows():
+    with pytest.raises(ValueError):
+        exact_sums(np.zeros(3))
+    assert exact_sums(np.zeros((2, 0))).tolist() == [0.0, 0.0]
+    assert exact_sums(np.zeros((0, 5))).shape == (0,)

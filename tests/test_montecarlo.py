@@ -5,15 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from contamclt import montecarlo
 from contamclt.analytic import kolmogorov_distance_to_normal, normal_cdf, normal_quantile
 from contamclt.model import ContaminationScheme, StdNormal
-from contamclt.montecarlo import (
-    EmpiricalCdf,
-    default_t_grid,
-    qq_points,
-    replicate,
-    standardized_sample_mean,
-)
+from contamclt.montecarlo import EmpiricalCdf, default_t_grid, qq_points, replicate
+from contamclt.rng import stream_generator
 
 NORMAL = StdNormal()
 UNCONTAMINATED = ContaminationScheme.uncontaminated()
@@ -22,9 +18,8 @@ CASE3 = ContaminationScheme.power_law(0.1, 1.0, 4.0, 1.0)
 
 def test_single_observation_statistic_is_centered_draw():
     # s_1 = 1, so the statistic equals X_1 - mu exactly
-    rng = np.random.default_rng(17)
-    stat = standardized_sample_mean(1, UNCONTAMINATED, NORMAL, 5.0, rng)
-    manual = np.random.default_rng(17)
+    stat = replicate(1, 1, UNCONTAMINATED, NORMAL, 5.0, 17).samples[0]
+    manual = stream_generator(17, 0)
     manual.random(1)
     z = NORMAL.draw(manual, 1)[0]
     assert stat == z
@@ -48,6 +43,18 @@ def test_replicate_worker_count_invariant():
     assert np.array_equal(np.sort(one.samples), np.sort(eight.samples))
     assert np.array_equal(one.samples, eight.samples)
     assert one.ks_statistic == eight.ks_statistic
+
+
+def test_replicate_block_boundaries_do_not_change_samples(monkeypatch):
+    # 700 elements per row: 93 rows per reduction block, and R = 250 is not
+    # a multiple of it, so blocks end mid-chunk at every worker count
+    R, n = 250, 700
+    assert R % (montecarlo._BLOCK_ELEMS // n) != 0
+    runs = [replicate(R, n, CASE3, NORMAL, 0.0, 31, workers=w).samples for w in (1, 2, 3)]
+    monkeypatch.setattr(montecarlo, "_BLOCK_ELEMS", 1)
+    runs.append(replicate(R, n, CASE3, NORMAL, 0.0, 31).samples)
+    for other in runs[1:]:
+        assert np.array_equal(runs[0].view(np.int64), other.view(np.int64))
 
 
 def test_single_replicate_ks_geometry():
