@@ -15,7 +15,6 @@ from .model import (  # noqa: F401
     StdNormal,
     StdUniform,
     base_distribution,
-    draw_observation,
 )
 from .analytic import (  # noqa: F401
     ArrayStats,
@@ -33,7 +32,6 @@ from .analytic import (  # noqa: F401
     lindeberg_index_estimate,
     lindeberg_sum,
     lindeberg_upper_bound,
-    normal_cdf,
     normal_quantile,
 )
 from .montecarlo import (  # noqa: F401

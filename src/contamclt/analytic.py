@@ -3,8 +3,8 @@
 Covers the cumulative variance s_n^2, the three limit conditions that govern
 consistency and normality, Lindeberg sums and the Lindeberg index, the
 closed-form index bound L / (1 + L), the power-law regime classification,
-the Kolmogorov distance of a sample to the standard normal, and standard
-normal CDF/quantile helpers.
+the Kolmogorov distance of a sample to the standard normal, and a standard
+normal quantile helper.
 
 Limits in n are approximated on a finite geometric grid.  A grid can only
 ever show a trend, so limit-valued quantities are reported together with the
@@ -39,7 +39,6 @@ __all__ = [
     "Classification",
     "classify_power_law",
     "kolmogorov_distance_to_normal",
-    "normal_cdf",
     "normal_quantile",
     "DEFAULT_N_GRID",
     "DEFAULT_EPS_GRID",
@@ -500,15 +499,6 @@ def kolmogorov_distance_to_normal(samples) -> float:
     d_plus = float(np.max(levels - c))
     d_minus = float(np.max(c - (levels - 1.0 / r)))
     return min(max(d_plus, d_minus, 0.0), 1.0)
-
-
-def normal_cdf(x):
-    """Standard normal CDF via the complementary error function."""
-    arr = np.asarray(x, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"normal_cdf requires finite input, got {x!r}")
-    out = ndtr(arr)
-    return float(out) if arr.ndim == 0 else out
 
 
 def normal_quantile(t):

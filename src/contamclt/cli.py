@@ -2,8 +2,10 @@
 
 Settings come from three layers with increasing precedence: built-in
 defaults, a flat key-value config file (``--config``), and command-line
-flags.  Exit codes: 0 success, 2 validation error, 3 I/O error, 4 internal
-numeric failure.
+flags.  ``SETTINGS`` is the one schema for all of them: each key is both a
+config-file key and a flag, and its string value from either layer goes
+through the same converter.  Exit codes: 0 success, 2 validation error,
+3 I/O error, 4 internal numeric failure.
 """
 
 from __future__ import annotations
@@ -18,15 +20,13 @@ from .experiment import (
     load_tabular_scheme,
     run_experiment,
 )
-from .model import ContaminationScheme
+from .model import _DISTRIBUTIONS, ContaminationScheme, SchemeKind
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_IO = 3
 EXIT_NUMERIC = 4
 
-_SCHEME_CHOICES = ("powerlaw", "tabular", "none")
-_DIST_CHOICES = ("normal", "uniform", "laplace")
 
 def _parse_bool(text: str) -> bool:
     lowered = text.strip().lower()
@@ -34,16 +34,47 @@ def _parse_bool(text: str) -> bool:
         return True
     if lowered in ("0", "false", "no", "off"):
         return False
-    raise ConfigError(f"expected a boolean, got {text!r}")
+    raise ValueError("expected a boolean")
 
 
-# config-file keys and how their string values are coerced
-_FILE_KEYS = {
-    "scheme": str, "p": float, "a": float, "s2": float, "b": float,
-    "dist": str, "mu": float, "n": int, "reps": int, "seed": int,
-    "workers": int, "out": str, "formats": str, "force": _parse_bool,
-    "tabular": str, "n_grid": str, "eps_grid": str,
+def _choice(options: tuple[str, ...]):
+    def convert(text: str) -> str:
+        if text not in options:
+            raise ValueError(f"choose from {', '.join(options)}")
+        return text
+    return convert
+
+
+def _list(convert):
+    return lambda text: tuple(convert(tok) for tok in text.split(",") if tok.strip())
+
+
+_SCHEMES = tuple(kind.value for kind in SchemeKind)
+_DISTS = tuple(_DISTRIBUTIONS)
+
+# setting key -> (converter from its string value, help text)
+SETTINGS = {
+    "scheme": (_choice(_SCHEMES), "contamination scheme: " + ", ".join(_SCHEMES)),
+    "p": (float, "power-law mixture weight, in (0,1)"),
+    "a": (float, "power-law weight decay exponent, > 0"),
+    "s2": (float, "power-law inflation factor, > 1"),
+    "b": (float, "power-law inflation growth exponent, > 0"),
+    "tabular": (str, "two-column CSV 'p_k,sigma2_k' for scheme tabular"),
+    "dist": (_choice(_DISTS), "base distribution: " + ", ".join(_DISTS)),
+    "mu": (float, "location of the observations"),
+    "n": (int, "observations per replicate"),
+    "reps": (int, "number of replicates"),
+    "seed": (int, "master seed, an unsigned 64-bit integer"),
+    "workers": (int, "parallel workers for replication (never changes results)"),
+    "out": (str, "output directory"),
+    "formats": (_list(str.strip), "comma-separated subset of csv,svg,json"),
+    "n_grid": (_list(int), "comma-separated geometric grid of sample sizes"),
+    "eps_grid": (_list(float), "comma-separated logarithmic epsilon grid"),
+    "force": (_parse_bool, "allow overwriting existing output files"),
 }
+
+# setting keys whose ExperimentConfig field has another name
+_FIELDS = {"out": "out_dir", "tabular": "tabular_path"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -57,36 +88,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", metavar="FILE",
                         help="flat key-value config file; flags override it")
-    parser.add_argument("--scheme", choices=_SCHEME_CHOICES)
-    parser.add_argument("--p", type=float, help="power-law mixture weight, in (0,1)")
-    parser.add_argument("--a", type=float, help="power-law weight decay exponent, > 0")
-    parser.add_argument("--s2", type=float, help="power-law inflation factor, > 1")
-    parser.add_argument("--b", type=float, help="power-law inflation growth exponent, > 0")
-    parser.add_argument("--tabular", metavar="CSV",
-                        help="two-column CSV 'p_k,sigma2_k' for --scheme tabular")
-    parser.add_argument("--dist", choices=_DIST_CHOICES)
-    parser.add_argument("--mu", type=float)
-    parser.add_argument("--n", type=int, help="observations per replicate")
-    parser.add_argument("--reps", type=int, help="number of replicates")
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--workers", type=int,
-                        help="parallel workers for replication (never changes results)")
-    parser.add_argument("--out", metavar="DIR", help="output directory")
-    parser.add_argument("--formats", help="comma-separated subset of csv,svg,json")
-    parser.add_argument("--n-grid", dest="n_grid",
-                        help="comma-separated geometric grid of sample sizes")
-    parser.add_argument("--eps-grid", dest="eps_grid",
-                        help="comma-separated logarithmic epsilon grid")
-    parser.add_argument("--force", action="store_true", default=None,
-                        help="allow overwriting existing output files")
+    for key, (_, help_text) in SETTINGS.items():
+        flag = "--" + key.replace("_", "-")
+        if key == "force":
+            parser.add_argument(flag, action="store_const", const="true", help=help_text)
+        else:
+            parser.add_argument(flag, dest=key, help=help_text)
     return parser
 
 
 def read_config_file(path: str) -> dict:
     """Parse ``key = value`` lines; '#' starts a comment, blank lines skipped."""
     settings: dict = {}
-    with open(path) as handle:
-        lines = handle.readlines()
+    try:
+        with open(path, encoding="utf-8") as handle:
+            lines = handle.readlines()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -96,127 +114,50 @@ def read_config_file(path: str) -> dict:
         else:
             key, _, value = line.partition(" ")
         key, value = key.strip(), value.strip()
-        if key not in _FILE_KEYS or not value:
+        if key not in SETTINGS or not value:
             raise ConfigError(f"{path}:{lineno}: unknown or malformed setting {raw.strip()!r}")
         settings[key] = value
     return settings
 
 
-def _merge(cli: argparse.Namespace, file_settings: dict) -> dict:
-    """Overlay: defaults < config file < command line."""
-    merged: dict = dict(file_settings)
-    for key in _FILE_KEYS:
-        flag_value = getattr(cli, key, None)
-        if flag_value is not None:
-            merged[key] = flag_value
-    return merged
-
-
-def _int_list(value, name: str) -> tuple[int, ...]:
+def _convert(key: str, text: str):
     try:
-        return tuple(int(tok) for tok in str(value).split(",") if tok.strip())
-    except ValueError:
-        raise ConfigError(f"{name} must be a comma-separated list of integers") from None
-
-
-def _float_list(value, name: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(tok) for tok in str(value).split(",") if tok.strip())
-    except ValueError:
-        raise ConfigError(f"{name} must be a comma-separated list of numbers") from None
-
-
-def _coerce(key: str, value):
-    if isinstance(value, str):
-        caster = _FILE_KEYS[key]
-        if caster is _parse_bool:
-            return _parse_bool(value)
-        if caster in (int, float):
-            try:
-                return caster(value)
-            except ValueError:
-                raise ConfigError(f"setting {key}={value!r} is not a number") from None
-    return value
+        return SETTINGS[key][0](text)
+    except ValueError as exc:
+        raise ConfigError(f"setting {key}={text!r} is invalid: {exc}") from None
 
 
 def config_from_settings(settings: dict) -> ExperimentConfig:
-    settings = {key: _coerce(key, value) for key, value in settings.items()}
-
-    scheme_kind = settings.get("scheme", "powerlaw")
-    if scheme_kind not in _SCHEME_CHOICES:
-        raise ConfigError(f"unknown scheme {scheme_kind!r}; choose from {_SCHEME_CHOICES}")
-    tabular_path = settings.get("tabular")
-    if scheme_kind == "tabular":
-        if not tabular_path:
+    """An unvalidated config from string settings keyed as in ``SETTINGS``."""
+    values = {_FIELDS.get(key, key): _convert(key, text) for key, text in settings.items()}
+    kind = SchemeKind(values.pop("scheme", SchemeKind.POWER_LAW.value))
+    power = {key: values.pop(key) for key in ("p", "a", "s2", "b") if key in values}
+    if kind is SchemeKind.TABULAR:
+        if not values.get("tabular_path"):
             raise ConfigError("scheme 'tabular' needs a tabular CSV path")
-        scheme = load_tabular_scheme(tabular_path)
-    elif scheme_kind == "none":
+        scheme = load_tabular_scheme(values["tabular_path"])
+    elif kind is SchemeKind.UNCONTAMINATED:
         scheme = ContaminationScheme.uncontaminated()
     else:
-        missing = [k for k in ("p", "a", "s2", "b") if k not in settings]
+        missing = [key for key in ("p", "a", "s2", "b") if key not in power]
         if missing:
             raise ConfigError(f"power-law scheme needs parameters {missing}")
         try:
-            scheme = ContaminationScheme.power_law(settings["p"], settings["a"],
-                                                   settings["s2"], settings["b"])
+            scheme = ContaminationScheme.power_law(**power)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-
-    kwargs: dict = {"scheme": scheme, "tabular_path": tabular_path}
-    if "dist" in settings:
-        kwargs["dist"] = settings["dist"]
-    if "mu" in settings:
-        kwargs["mu"] = settings["mu"]
-    if "n" in settings:
-        kwargs["n"] = settings["n"]
-    if "reps" in settings:
-        kwargs["reps"] = settings["reps"]
-    if "seed" in settings:
-        kwargs["seed"] = settings["seed"]
-    if "workers" in settings:
-        kwargs["workers"] = settings["workers"]
-    else:
-        kwargs["workers"] = os.cpu_count() or 1
-    if "out" in settings:
-        kwargs["out_dir"] = settings["out"]
-    if "force" in settings:
-        kwargs["force"] = settings["force"]
-    if "formats" in settings:
-        formats = tuple(tok.strip() for tok in str(settings["formats"]).split(",")
-                        if tok.strip())
-        kwargs["formats"] = formats
-    if "n_grid" in settings:
-        kwargs["n_grid"] = _int_list(settings["n_grid"], "n_grid")
-    if "eps_grid" in settings:
-        kwargs["eps_grid"] = _float_list(settings["eps_grid"], "eps_grid")
-    return ExperimentConfig(**kwargs)
+    values.setdefault("workers", os.cpu_count() or 1)
+    return ExperimentConfig(scheme=scheme, **values)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-
+    args = build_parser().parse_args(argv)
     try:
-        file_settings = read_config_file(args.config) if args.config else {}
-    except OSError as exc:
-        print(f"error: cannot read config: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-
-    try:
-        config = config_from_settings(_merge(args, file_settings)).validated()
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-
-    try:
-        report = run_experiment(config)
-    except (ConfigError, ValueError) as exc:
+        settings = read_config_file(args.config) if args.config else {}
+        settings.update((key, getattr(args, key)) for key in SETTINGS
+                        if getattr(args, key) is not None)
+        report = run_experiment(config_from_settings(settings))
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:

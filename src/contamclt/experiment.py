@@ -16,7 +16,7 @@ import math
 import os
 import tempfile
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 from . import __version__
 from .analytic import (
@@ -66,8 +66,9 @@ class ExperimentConfig:
     """Everything that identifies an experiment.
 
     Execution details (output directory, formats, worker count, overwrite
-    flag) do not affect any computed number and are excluded from the report
-    echo.
+    flag, tabular source path) do not affect any computed number and are
+    excluded from equality and from the report echo; the tabular path is
+    recorded as the scheme's ``source`` instead.
     """
 
     scheme: ContaminationScheme
@@ -82,7 +83,7 @@ class ExperimentConfig:
     formats: tuple[str, ...] = field(default=FORMATS, compare=False)
     workers: int = field(default=1, compare=False)
     force: bool = field(default=False, compare=False)
-    tabular_path: str | None = None
+    tabular_path: str | None = field(default=None, compare=False)
 
     def validated(self) -> "ExperimentConfig":
         try:
@@ -91,6 +92,8 @@ class ExperimentConfig:
             eps_grid = validate_eps_grid(self.eps_grid)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
+        if not math.isfinite(self.mu):
+            raise ConfigError(f"mu must be finite, got {self.mu}")
         if self.n < 1:
             raise ConfigError(f"n must be >= 1, got {self.n}")
         if self.reps < 1:
@@ -110,6 +113,11 @@ class ExperimentConfig:
             )
         return replace(self, n_grid=n_grid, eps_grid=eps_grid,
                        formats=tuple(self.formats))
+
+
+# config fields echoed in the report next to the scheme, in declaration order
+_ECHOED = tuple(f.name for f in fields(ExperimentConfig)
+                if f.compare and f.name != "scheme")
 
 
 @dataclass(frozen=True)
@@ -149,6 +157,10 @@ class ExperimentReport:
                           sigma2_k=list(cfg.scheme.sigma2_table))
             if cfg.tabular_path is not None:
                 scheme["source"] = cfg.tabular_path
+        echo = {"scheme": scheme}
+        for name in _ECHOED:
+            value = getattr(cfg, name)
+            echo[name] = list(value) if isinstance(value, tuple) else value
         classification = None
         if self.classification is not None:
             classification = {
@@ -158,16 +170,7 @@ class ExperimentReport:
             }
         return {
             "tool_version": self.tool_version,
-            "config": {
-                "scheme": scheme,
-                "dist": cfg.dist,
-                "mu": cfg.mu,
-                "n": cfg.n,
-                "reps": cfg.reps,
-                "seed": cfg.seed,
-                "n_grid": list(cfg.n_grid),
-                "eps_grid": list(cfg.eps_grid),
-            },
+            "config": echo,
             "classification": classification,
             "conditions": {
                 name: {
@@ -198,11 +201,10 @@ class ExperimentReport:
         else:
             scheme = ContaminationScheme.uncontaminated()
         config = ExperimentConfig(
-            scheme=scheme, dist=cfg["dist"], mu=cfg["mu"], n=cfg["n"],
-            reps=cfg["reps"], seed=cfg["seed"], n_grid=tuple(cfg["n_grid"]),
-            eps_grid=tuple(cfg["eps_grid"]),
-            tabular_path=sch.get("source"),
-        )
+            scheme=scheme, tabular_path=sch.get("source"), **{
+                name: tuple(cfg[name]) if isinstance(cfg[name], list) else cfg[name]
+                for name in _ECHOED
+            })
         classification = None
         if data["classification"] is not None:
             c = data["classification"]
@@ -233,22 +235,25 @@ class ExperimentReport:
 
 def load_tabular_scheme(path: str) -> ContaminationScheme:
     """Read a two-column CSV ``p_k,sigma2_k`` (with header) into a scheme."""
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header[:2]] != ["p_k", "sigma2_k"]:
-            raise ConfigError(
-                f"{path}: expected header 'p_k,sigma2_k', got {header!r}"
-            )
-        p_col, s_col = [], []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            try:
-                p_col.append(float(row[0]))
-                s_col.append(float(row[1]))
-            except (IndexError, ValueError):
-                raise ConfigError(f"{path}:{lineno}: malformed row {row!r}") from None
+    try:
+        with open(path, newline="", encoding="utf-8") as handle:
+            reader = csv.reader(handle)
+            header = next(reader, None)
+            if header is None or [h.strip() for h in header[:2]] != ["p_k", "sigma2_k"]:
+                raise ConfigError(
+                    f"{path}: expected header 'p_k,sigma2_k', got {header!r}"
+                )
+            p_col, s_col = [], []
+            for lineno, row in enumerate(reader, start=2):
+                if not row or all(not cell.strip() for cell in row):
+                    continue
+                try:
+                    p_col.append(float(row[0]))
+                    s_col.append(float(row[1]))
+                except (IndexError, ValueError):
+                    raise ConfigError(f"{path}:{lineno}: malformed row {row!r}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
     try:
         return ContaminationScheme.tabular(p_col, s_col)
     except ValueError as exc:

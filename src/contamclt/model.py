@@ -3,9 +3,9 @@
 An observation at index k is drawn from a two-component mixture: with
 probability 1 - p_k from the base distribution F (shifted by mu), with
 probability p_k from the same shape scaled by sigma_k >= 1.  Schemes supply
-the per-index pair (p_k, sigma_k^2); base distributions supply draws, CDF
-values, and the truncated second moment E[X^2; |X| >= t] needed by the
-Lindeberg diagnostics.
+the per-index pairs (p_k, sigma_k^2); base distributions supply draws, the
+density, and the closed-form truncated second moment E[X^2; |X| >= t] needed
+by the Lindeberg diagnostics.
 
 All base distributions here have mean 0 and variance 1.
 """
@@ -21,15 +21,12 @@ import numpy as np
 __all__ = [
     "SchemeKind",
     "ContaminationScheme",
-    "scheme_at",
     "BaseDistribution",
     "StdNormal",
     "StdUniform",
     "StdLaplace",
     "base_distribution",
-    "draw_observation",
     "draw_centered_row",
-    "truncated_second_moment_by_quadrature",
 ]
 
 _SQRT2 = math.sqrt(2.0)
@@ -98,20 +95,6 @@ class ContaminationScheme:
             return len(self.p_table)
         return None
 
-    def at(self, k: int) -> tuple[float, float]:
-        """Exact (p_k, sigma2_k) for index k >= 1; pure and deterministic."""
-        if k < 1:
-            raise ValueError(f"observation index must be >= 1, got {k}")
-        if self.kind is SchemeKind.UNCONTAMINATED:
-            return 0.0, 1.0
-        if self.kind is SchemeKind.POWER_LAW:
-            return self.p * float(k) ** -self.a, self.s2 * float(k) ** self.b
-        if k > len(self.p_table):
-            raise IndexError(
-                f"tabular scheme holds {len(self.p_table)} entries; index {k} is out of range"
-            )
-        return self.p_table[k - 1], self.sigma2_table[k - 1]
-
     def weights(self, n: int, start: int = 1) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized (p_k, sigma2_k) for k = start..n inclusive."""
         if start < 1 or n < start:
@@ -130,11 +113,6 @@ class ContaminationScheme:
                 np.asarray(self.sigma2_table[start - 1:n]))
 
 
-def scheme_at(scheme: ContaminationScheme, k: int) -> tuple[float, float]:
-    """Functional alias for :meth:`ContaminationScheme.at`."""
-    return scheme.at(k)
-
-
 # ---------------------------------------------------------------------------
 # Base distributions
 # ---------------------------------------------------------------------------
@@ -146,52 +124,11 @@ def _validate_threshold(t) -> np.ndarray:
     return arr
 
 
-def truncated_second_moment_by_quadrature(pdf, t: float, tail_bound, tol: float = 1e-10) -> float:
-    """Generic E[X^2; |X| >= t] by adaptive Simpson integration.
-
-    ``tail_bound(T)`` must bound the mass of x^2 pdf(x) outside [-T, T]; the
-    cutoff doubles until that bound drops below 1e-12, then both one-sided
-    integrals are refined to absolute tolerance ``tol``.
-    """
-    cut = max(2.0 * t, 8.0)
-    while tail_bound(cut) >= 1e-12:
-        cut *= 2.0
-        if cut > 1e12:
-            raise ArithmeticError("tail bound failed to fall below 1e-12")
-
-    def f(x: float) -> float:
-        return x * x * pdf(x)
-
-    def simpson(a: float, fa: float, b: float, fb: float, fm: float) -> float:
-        return (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-
-    def recurse(a, fa, b, fb, fm, whole, eps, depth):
-        m = 0.5 * (a + b)
-        lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-        flm, frm = f(lm), f(rm)
-        left = simpson(a, fa, m, fm, flm)
-        right = simpson(m, fm, b, fb, frm)
-        if depth <= 0 or abs(left + right - whole) <= 15.0 * eps:
-            return left + right + (left + right - whole) / 15.0
-        return (recurse(a, fa, m, fm, flm, left, 0.5 * eps, depth - 1)
-                + recurse(m, fm, b, fb, frm, right, 0.5 * eps, depth - 1))
-
-    total = 0.0
-    for lo, hi in ((t, cut), (-cut, -t)):
-        if hi <= lo:
-            continue
-        flo, fhi, fmid = f(lo), f(hi), f(0.5 * (lo + hi))
-        whole = simpson(lo, flo, hi, fhi, fmid)
-        total += recurse(lo, flo, hi, fhi, fmid, whole, tol / 2.0, 48)
-    return total
-
-
 class BaseDistribution:
     """A zero-mean, unit-variance distribution used as the mixture shape.
 
-    Subclasses provide draws, the CDF, the density, and a tail bound for the
-    second moment.  ``truncated_second_moment`` falls back to adaptive
-    quadrature unless a closed form is supplied.
+    Subclasses provide draws, the density, and the truncated second moment
+    in closed form.
     """
 
     kind: str = "generic"
@@ -199,27 +136,12 @@ class BaseDistribution:
     def draw(self, rng: np.random.Generator, size: int | None = None):
         raise NotImplementedError
 
-    def cdf(self, x):
-        raise NotImplementedError
-
     def pdf(self, x):
-        raise NotImplementedError
-
-    def second_moment_tail_bound(self, t: float) -> float:
-        """Upper bound on E[X^2; |X| >= t], used to pick quadrature cutoffs."""
         raise NotImplementedError
 
     def truncated_second_moment(self, t):
         """E[X^2; |X| >= t]; equals 1 at t = 0 and is nonincreasing in t."""
-        arr = _validate_threshold(t)
-        flat = np.clip([
-            truncated_second_moment_by_quadrature(self.pdf, float(v),
-                                                  self.second_moment_tail_bound)
-            for v in np.atleast_1d(arr).ravel()
-        ], 0.0, 1.0)
-        if arr.ndim == 0:
-            return float(flat[0])
-        return np.asarray(flat).reshape(arr.shape)
+        raise NotImplementedError
 
     def __eq__(self, other) -> bool:
         return type(other) is type(self)
@@ -239,16 +161,9 @@ class StdNormal(BaseDistribution):
     def draw(self, rng, size=None):
         return rng.standard_normal() if size is None else rng.standard_normal(size)
 
-    def cdf(self, x):
-        from scipy.special import ndtr
-        return ndtr(np.asarray(x, dtype=np.float64))
-
     def pdf(self, x):
         x = np.asarray(x, dtype=np.float64)
         return _INV_SQRT_2PI * np.exp(-0.5 * x * x)
-
-    def second_moment_tail_bound(self, t):
-        return self.truncated_second_moment(max(t, 0.0))
 
     def truncated_second_moment(self, t):
         # E[X^2; |X| >= t] = 2*(t*phi(t) + 1 - Phi(t)) by one integration by parts
@@ -264,21 +179,13 @@ class StdUniform(BaseDistribution):
     """Uniform on [-sqrt(3), sqrt(3)], standardized to unit variance."""
 
     kind = "uniform"
-    half_width = _SQRT3
 
     def draw(self, rng, size=None):
         return rng.uniform(-_SQRT3, _SQRT3, size)
 
-    def cdf(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        return np.clip((x + _SQRT3) / (2.0 * _SQRT3), 0.0, 1.0)
-
     def pdf(self, x):
         x = np.asarray(x, dtype=np.float64)
         return np.where(np.abs(x) <= _SQRT3, 1.0 / (2.0 * _SQRT3), 0.0)
-
-    def second_moment_tail_bound(self, t):
-        return 0.0 if t >= _SQRT3 else 1.0
 
     def truncated_second_moment(self, t):
         # exact polynomial tail: 1 - t^3 / (3*sqrt(3)) inside the support
@@ -297,18 +204,9 @@ class StdLaplace(BaseDistribution):
     def draw(self, rng, size=None):
         return rng.laplace(0.0, self.scale, size)
 
-    def cdf(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        return np.where(x < 0.0,
-                        0.5 * np.exp(x / self.scale),
-                        1.0 - 0.5 * np.exp(-x / self.scale))
-
     def pdf(self, x):
         x = np.asarray(x, dtype=np.float64)
         return np.exp(-np.abs(x) / self.scale) / (2.0 * self.scale)
-
-    def second_moment_tail_bound(self, t):
-        return self.truncated_second_moment(max(t, 0.0))
 
     def truncated_second_moment(self, t):
         # exact exponential tail: exp(-sqrt(2) t) * (t^2 + sqrt(2) t + 1)
@@ -337,23 +235,6 @@ def base_distribution(kind: str) -> BaseDistribution:
 # ---------------------------------------------------------------------------
 # Sampling
 # ---------------------------------------------------------------------------
-
-def draw_observation(k: int, scheme: ContaminationScheme, dist: BaseDistribution,
-                     mu: float, rng: np.random.Generator) -> float:
-    """One observation X_k from the mixture at index k.
-
-    Always consumes exactly two generator events, a uniform U then a base
-    draw Z, in that order, regardless of which branch is taken.  Returns
-    mu + sigma_k * Z when U < p_k, else mu + Z.  The fixed consumption
-    pattern keeps streams reproducible and branch-independent.
-    """
-    p_k, sigma2_k = scheme.at(k)
-    u = rng.random()
-    z = dist.draw(rng)
-    if u < p_k:
-        return mu + math.sqrt(sigma2_k) * z
-    return mu + z
-
 
 def draw_centered_row(n: int, p: np.ndarray, sigma: np.ndarray,
                       dist: BaseDistribution, rng: np.random.Generator) -> np.ndarray:

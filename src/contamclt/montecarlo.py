@@ -13,6 +13,7 @@ replicates are scheduled across workers or stacked into reduction blocks.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -135,6 +136,7 @@ def replicate(R: int, n: int, scheme: ContaminationScheme, dist: BaseDistributio
 
     The result is a pure function of (R, n, scheme, dist, mu, master_seed);
     ``workers`` only distributes the replicate loop and never changes values.
+    The pool never holds more processes than there are tasks or CPUs.
     """
     if R < 1:
         raise ValueError(f"replication count must be >= 1, got {R}")
@@ -150,7 +152,8 @@ def replicate(R: int, n: int, scheme: ContaminationScheme, dist: BaseDistributio
         step = max(1, -(-R // (4 * workers)))
         bounds = [(lo, min(lo + step, R)) for lo in range(0, R, step)]
         tasks = [(scheme, dist, n, master_seed, lo, hi) for lo, hi in bounds]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        pool_size = min(workers, len(tasks), os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=pool_size) as pool:
             parts = list(pool.map(_replicate_chunk, tasks))
         samples = np.concatenate(parts)
 

@@ -1,12 +1,15 @@
 """Experiment runner, emitters, config files, and CLI exit codes."""
 
 import json
+import re
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from contamclt.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_VALIDATION, main
+import contamclt.cli as cli
+from contamclt.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_VALIDATION, SETTINGS, main
 from contamclt.experiment import (
     ConfigError,
     ExperimentConfig,
@@ -136,6 +139,9 @@ def test_config_validation_errors():
         fast_config(reps=0).validated()
     with pytest.raises(ConfigError):
         fast_config(dist="cauchy").validated()
+    for mu in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ConfigError):
+            fast_config(mu=mu).validated()
     with pytest.raises(ConfigError):
         fast_config(formats=("pdf",)).validated()
     with pytest.raises(ConfigError):
@@ -154,7 +160,8 @@ def test_load_tabular_scheme(tmp_path):
     path.write_text("p_k,sigma2_k\n0.5,2.0\n0.25,3.0\n")
     scheme = load_tabular_scheme(str(path))
     assert scheme.kind is SchemeKind.TABULAR
-    assert scheme.at(2) == (0.25, 3.0)
+    p, s2 = scheme.weights(2)
+    assert (p.tolist(), s2.tolist()) == ([0.5, 0.25], [2.0, 3.0])
 
 
 def test_load_tabular_scheme_bad_header(tmp_path):
@@ -270,3 +277,78 @@ def test_cli_tabular_roundtrip(tmp_path, capsys):
     assert report["classification"] is None
     assert report["config"]["scheme"]["kind"] == "tabular"
     assert report["config"]["scheme"]["source"] == str(table)
+
+
+def test_cli_non_utf8_config_file(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"scheme = none\nn = 5\xff\n")
+    assert main(["--config", str(cfg)]) == EXIT_VALIDATION
+    assert f"error: {cfg}" in capsys.readouterr().err
+
+
+def test_cli_non_utf8_tabular_file(tmp_path, capsys):
+    table = tmp_path / "scheme.csv"
+    table.write_bytes(b"p_k,sigma2_k\n0.5,2.0\xff\n")
+    assert main(["--scheme", "tabular", "--tabular", str(table)]) == EXIT_VALIDATION
+    assert f"error: {table}" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# the settings table is the single schema for flags, files and the docs
+# ---------------------------------------------------------------------------
+
+# one value per setting, each different from what BASE_LINES resolves to
+SAMPLE_VALUES = {
+    "scheme": "none", "p": "0.2", "a": "1.5", "s2": "9", "b": "0.5",
+    "tabular": "weights.csv", "dist": "laplace", "mu": "-2.5", "n": "77",
+    "reps": "33", "seed": "12345", "workers": "3", "out": "elsewhere",
+    "formats": "csv, json", "n_grid": "100,200,400,800,1600,3200",
+    "eps_grid": "0.01,0.1,1", "force": "true",
+}
+BASE_LINES = "scheme = powerlaw\np = 0.1\na = 1\ns2 = 4\nb = 1\nworkers = 1\n"
+# the ExperimentConfig field each setting lands in, where the names differ
+FIELD_OF = {"p": "scheme", "a": "scheme", "s2": "scheme", "b": "scheme",
+            "out": "out_dir", "tabular": "tabular_path"}
+
+
+class _Captured(Exception):
+    pass
+
+
+def _config_from_main(monkeypatch, argv):
+    """The config ``main`` hands to ``run_experiment`` for ``argv``."""
+    seen = []
+
+    def capture(config):
+        seen.append(config)
+        raise _Captured
+
+    monkeypatch.setattr(cli, "run_experiment", capture)
+    with pytest.raises(_Captured):
+        main(argv)
+    return seen[0]
+
+
+@pytest.mark.parametrize("key", list(SETTINGS))
+def test_config_file_line_and_flag_give_the_same_config(key, tmp_path, monkeypatch):
+    value = SAMPLE_VALUES[key]
+    base_cfg = tmp_path / "base.cfg"
+    base_cfg.write_text(BASE_LINES)
+    keyed_cfg = tmp_path / "keyed.cfg"
+    keyed_cfg.write_text(BASE_LINES + f"{key} = {value}\n")
+    flag = ["--force"] if key == "force" else ["--" + key.replace("_", "-"), value]
+
+    base = _config_from_main(monkeypatch, ["--config", str(base_cfg)])
+    via_file = _config_from_main(monkeypatch, ["--config", str(keyed_cfg)])
+    via_flag = _config_from_main(monkeypatch, ["--config", str(base_cfg), *flag])
+    # == skips the execution fields, so compare every field
+    assert vars(via_file) == vars(via_flag)
+    changed = {name for name, v in vars(via_file).items() if v != vars(base)[name]}
+    assert changed == {FIELD_OF.get(key, key)}
+
+
+def test_readme_lists_the_settings_keys():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    listed = re.search(r"keys mirror the flags\s*\(`([^`]*)`\)", section).group(1)
+    assert listed.split() == list(SETTINGS)

@@ -9,14 +9,12 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from contamclt.model import (
-    BaseDistribution,
     ContaminationScheme,
     StdLaplace,
     StdNormal,
     StdUniform,
     base_distribution,
-    draw_observation,
-    truncated_second_moment_by_quadrature,
+    draw_centered_row,
 )
 
 ALL_DISTS = [StdNormal(), StdUniform(), StdLaplace()]
@@ -29,20 +27,26 @@ T_NORMAL_AT_1 = 0.80125195690120080
 # schemes
 # ---------------------------------------------------------------------------
 
+def at(scheme, k):
+    """(p_k, sigma2_k) at the single index k."""
+    p, s2 = scheme.weights(k, start=k)
+    return float(p[0]), float(s2[0])
+
+
 def test_power_law_at_k1_is_raw_parameters():
     s = ContaminationScheme.power_law(0.5, 0.5, 25.0, 0.9)
-    assert s.at(1) == (0.5, 25.0)
+    assert at(s, 1) == (0.5, 25.0)
 
 
 def test_uncontaminated_any_k():
     s = ContaminationScheme.uncontaminated()
     for k in (1, 7, 10 ** 9):
-        assert s.at(k) == (0.0, 1.0)
+        assert at(s, k) == (0.0, 1.0)
 
 
 def test_power_law_at_k10():
     s = ContaminationScheme.power_law(0.1, 1.0, 4.0, 1.0)
-    p_k, sigma2_k = s.at(10)
+    p_k, sigma2_k = at(s, 10)
     assert p_k == pytest.approx(0.01, abs=1e-15)
     assert sigma2_k == pytest.approx(40.0, abs=1e-12)
 
@@ -50,14 +54,14 @@ def test_power_law_at_k10():
 def test_index_zero_is_domain_error():
     s = ContaminationScheme.power_law(0.1, 1.0, 4.0, 1.0)
     with pytest.raises(ValueError):
-        s.at(0)
+        at(s, 0)
 
 
 def test_tabular_refuses_extrapolation():
     s = ContaminationScheme.tabular([0.5, 0.2], [2.0, 3.0])
-    assert s.at(2) == (0.2, 3.0)
+    assert at(s, 2) == (0.2, 3.0)
     with pytest.raises(IndexError):
-        s.at(3)
+        at(s, 3)
     with pytest.raises(IndexError):
         s.weights(3)
 
@@ -87,8 +91,9 @@ def test_weights_match_scalar_evaluation():
     s = ContaminationScheme.power_law(0.3, 0.7, 9.0, 1.2)
     p, s2 = s.weights(50)
     for k in (1, 17, 50):
-        pk, sk = s.at(k)
+        pk, sk = at(s, k)
         assert p[k - 1] == pk and s2[k - 1] == sk
+        assert pk == 0.3 * float(k) ** -0.7 and sk == 9.0 * float(k) ** 1.2
 
 
 # ---------------------------------------------------------------------------
@@ -146,33 +151,6 @@ def test_mean_zero_variance_one_by_quadrature(dist):
     assert var == pytest.approx(1.0, abs=1e-8)
 
 
-class _QuadratureOnlyGaussian(BaseDistribution):
-    """Normal shape that only exposes pdf + tail bound: exercises the generic path."""
-
-    kind = "generic-gaussian"
-
-    def pdf(self, x):
-        return StdNormal().pdf(x)
-
-    def second_moment_tail_bound(self, t):
-        return StdNormal().truncated_second_moment(max(t, 0.0))
-
-
-def test_generic_quadrature_fallback_matches_closed_form():
-    generic = _QuadratureOnlyGaussian()
-    closed = StdNormal()
-    for t in (0.0, 0.3, 1.0, 2.5, 4.0):
-        assert generic.truncated_second_moment(t) == pytest.approx(
-            closed.truncated_second_moment(t), abs=1e-8)
-
-
-def test_quadrature_helper_respects_tolerance():
-    pdf = StdNormal().pdf
-    bound = StdNormal().truncated_second_moment
-    got = truncated_second_moment_by_quadrature(pdf, 1.0, bound)
-    assert got == pytest.approx(T_NORMAL_AT_1, abs=1e-9)
-
-
 def test_base_distribution_registry():
     assert base_distribution("normal") == StdNormal()
     assert base_distribution("uniform").kind == "uniform"
@@ -184,39 +162,49 @@ def test_base_distribution_registry():
 # sampling
 # ---------------------------------------------------------------------------
 
+def _row(scheme, n, dist, rng):
+    p, s2 = scheme.weights(n)
+    return draw_centered_row(n, p, np.sqrt(s2), dist, rng)
+
+
 def test_draw_consumes_exactly_two_events_in_fixed_order():
+    # per index one uniform and one base draw, as a block of n uniforms then
+    # a block of n base draws, whichever branch each index takes
     scheme = ContaminationScheme.power_law(0.9, 0.1, 2.0, 0.5)
-    dist = StdNormal()
+    n = 40
     rng = np.random.default_rng(99)
-    x = draw_observation(5, scheme, dist, 1.5, rng)
+    row = _row(scheme, n, StdNormal(), rng)
     after = rng.random()
 
     manual = np.random.default_rng(99)
-    u = manual.random()
-    z = manual.standard_normal()
-    p_k, sigma2_k = scheme.at(5)
-    expected = 1.5 + (math.sqrt(sigma2_k) * z if u < p_k else z)
-    assert x == expected
+    u = manual.random(n)
+    z = manual.standard_normal(n)
+    p, s2 = scheme.weights(n)
+    expected = [math.sqrt(s2[k]) * z[k] if u[k] < p[k] else z[k] for k in range(n)]
+    assert 0 < np.count_nonzero(u < p) < n  # both branches are exercised
+    assert row.tolist() == expected
     assert after == manual.random()
 
 
 def test_draw_same_seed_bitwise_identical():
     scheme = ContaminationScheme.power_law(0.5, 1.0, 9.0, 1.0)
     dist = StdLaplace()
-    a = [draw_observation(k, scheme, dist, -2.0, np.random.default_rng(7))
-         for k in range(1, 30)]
-    b = [draw_observation(k, scheme, dist, -2.0, np.random.default_rng(7))
-         for k in range(1, 30)]
-    assert a == b
+    a = _row(scheme, 30, dist, np.random.default_rng(7))
+    b = _row(scheme, 30, dist, np.random.default_rng(7))
+    assert a.tobytes() == b.tobytes()
 
 
 def test_uncontaminated_draws_are_base_samples():
     scheme = ContaminationScheme.uncontaminated()
-    dist = StdNormal()
-    rng = np.random.default_rng(1234)
     n = 10 ** 5
-    draws = np.fromiter((draw_observation(1, scheme, dist, 0.0, rng) for _ in range(n)),
-                        dtype=np.float64, count=n)
+    rng = np.random.default_rng(1234)
+    draws = _row(scheme, n, StdNormal(), rng)
+    after = rng.random()
+
+    manual = np.random.default_rng(1234)
+    manual.random(n)
+    assert draws.tolist() == manual.standard_normal(n).tolist()
+    assert after == manual.random()
     assert abs(draws.mean()) <= 3.0 / math.sqrt(n)
 
 
@@ -262,5 +250,5 @@ def test_always_contaminated_branch_scales_by_sigma():
 @settings(max_examples=50)
 def test_tabular_bounds_always_accepted(p, sigma2):
     s = ContaminationScheme.tabular([p], [sigma2])
-    pk, sk = s.at(1)
+    pk, sk = at(s, 1)
     assert 0.0 <= pk <= 1.0 and sk >= 1.0

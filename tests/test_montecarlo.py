@@ -1,12 +1,14 @@
 """Replication, empirical CDF, and QQ point generation."""
 
 import math
+import os
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from contamclt import montecarlo
-from contamclt.analytic import kolmogorov_distance_to_normal, normal_cdf, normal_quantile
+from contamclt.analytic import kolmogorov_distance_to_normal, normal_quantile
 from contamclt.model import ContaminationScheme, StdNormal
 from contamclt.montecarlo import EmpiricalCdf, default_t_grid, qq_points, replicate
 from contamclt.rng import stream_generator
@@ -45,6 +47,32 @@ def test_replicate_worker_count_invariant():
     assert one.ks_statistic == eight.ks_statistic
 
 
+def test_replicate_pool_is_capped_by_cpus_and_tasks(monkeypatch):
+    # an in-process fake stands in for the pool, so no process is started: a
+    # huge worker count must not become a huge pool, and the samples stay
+    # those of workers=1
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", SerialPool)
+    many = replicate(40, 30, CASE3, NORMAL, 0.0, 5, workers=10 ** 6)
+    one = replicate(40, 30, CASE3, NORMAL, 0.0, 5, workers=1)
+    assert len(sizes) == 1 and 1 <= sizes[0] <= min(os.cpu_count() or 1, 40)
+    assert np.array_equal(many.samples.view(np.int64), one.samples.view(np.int64))
+
+
 def test_replicate_block_boundaries_do_not_change_samples(monkeypatch):
     # 700 elements per row: 93 rows per reduction block, and R = 250 is not
     # a multiple of it, so blocks end mid-chunk at every worker count
@@ -60,7 +88,7 @@ def test_replicate_block_boundaries_do_not_change_samples(monkeypatch):
 def test_single_replicate_ks_geometry():
     r = replicate(1, 50, UNCONTAMINATED, NORMAL, 0.0, 3)
     x1 = float(r.samples[0])
-    assert r.ks_statistic >= 0.5 - abs(normal_cdf(x1) - 0.5)
+    assert r.ks_statistic >= 0.5 - abs(ndtr(x1) - 0.5)
 
 
 def test_ks_field_matches_recomputation():
