@@ -9,6 +9,11 @@ normal quantile helper.
 Limits in n are approximated on a finite geometric grid.  A grid can only
 ever show a trend, so limit-valued quantities are reported together with the
 rule that produced them (see ``Trend`` and the index-estimate notes below).
+
+``grid_walk`` is the one pass over k = 1..max(n_grid) that the conditions,
+the index bound and the index estimate share through their ``walk``
+argument: each chunk of weights is fetched once, and the per-index arrays
+it keeps feed the Lindeberg sums, which are evaluated in cache-sized blocks.
 """
 
 from __future__ import annotations
@@ -24,7 +29,9 @@ from .model import BaseDistribution, ContaminationScheme
 
 __all__ = [
     "ArrayStats",
+    "GridWalk",
     "array_stats",
+    "grid_walk",
     "exact_sums",
     "Trend",
     "LimitEstimate",
@@ -47,11 +54,14 @@ __all__ = [
 DEFAULT_N_GRID: tuple[int, ...] = tuple(1000 * 2 ** j for j in range(8))
 DEFAULT_EPS_GRID: tuple[float, ...] = tuple(float(e) for e in np.geomspace(1e-3, 10.0, 40))
 
-# Sums are accumulated in chunks aligned to absolute index boundaries, each
-# chunk's sum correctly rounded by ``exact_sums``.  Incremental extension then
-# reproduces the one-pass result bitwise, because both paths add the same
-# chunk totals in the same order.
+# Weights are fetched and summed in chunks aligned to absolute index
+# boundaries, each chunk's sum correctly rounded by ``exact_sums``.  The stats
+# at n add the full-chunk totals below n in order, then the part-chunk up to
+# n, so they are the same whichever other points a walk's grid holds.
 _CHUNK = 1 << 16
+# Lindeberg terms are evaluated in blocks of this many indices, so that a
+# block's temporaries stay in cache.
+_BLOCK = 1 << 14
 
 # Rows with 2 * n * max|x| at or above this, or with an inf or nan, are left
 # to math.fsum: the level splitter in ``exact_sums`` needs sigma + x finite.
@@ -113,71 +123,65 @@ class ArrayStats:
     mean_p: float              # (1/n) * sum p_k
     feller_max: float          # max_k p_k sigma_k^2 / s2_n
     max_sigma2: float          # max_k sigma_k^2
-    scheme: ContaminationScheme | None = field(repr=False, compare=False, default=None)
-    _boundary: int = field(repr=False, compare=False, default=0)
-    _run_p: float = field(repr=False, compare=False, default=0.0)
-    _run_ps2: float = field(repr=False, compare=False, default=0.0)
-    _max_ps2: float = field(repr=False, compare=False, default=0.0)
 
 
-def array_stats(scheme: ContaminationScheme, n: int,
-                extend_from: ArrayStats | None = None) -> ArrayStats:
-    """Exact one-pass partial sums for k = 1..n.
+@dataclass(frozen=True, eq=False)
+class GridWalk:
+    """ArrayStats at every grid point and the per-index arrays up to the top.
 
-    Pass a previous result as ``extend_from`` to continue the accumulation;
-    the extended values are bitwise identical to a fresh computation.
+    ``ps2``, ``sigma`` and ``q`` hold p_k sigma_k^2, sigma_k and 1 - p_k for
+    k = 1..grid[-1]; a row n of the Lindeberg sums reads their first n entries.
     """
-    if n < 1:
-        raise ValueError(f"sample size must be >= 1, got {n}")
-    if extend_from is not None:
-        if extend_from.scheme != scheme:
-            raise ValueError("extend_from was built for a different scheme")
-        if extend_from.n > n:
-            raise ValueError(
-                f"cannot extend stats at n={extend_from.n} down to n={n}"
-            )
-        boundary = extend_from._boundary
-        run_p, run_ps2 = extend_from._run_p, extend_from._run_ps2
-        max_ps2, max_sigma2 = extend_from._max_ps2, extend_from.max_sigma2
-    else:
-        boundary = 0
-        run_p = run_ps2 = max_ps2 = 0.0
-        max_sigma2 = 1.0
 
-    while boundary + _CHUNK <= n:
-        p, s2 = scheme.weights(boundary + _CHUNK, start=boundary + 1)
-        ps2 = p * s2
-        chunk_p, chunk_ps2 = exact_sums(np.stack([p, ps2])).tolist()
-        run_p += chunk_p
-        run_ps2 += chunk_ps2
-        max_ps2 = max(max_ps2, float(ps2.max()))
-        max_sigma2 = max(max_sigma2, float(s2.max()))
-        boundary += _CHUNK
+    scheme: ContaminationScheme = field(repr=False)
+    grid: tuple[int, ...]
+    stats: tuple[ArrayStats, ...]
+    ps2: np.ndarray = field(repr=False)
+    sigma: np.ndarray = field(repr=False)
+    q: np.ndarray = field(repr=False)
 
-    sum_p, sum_ps2 = run_p, run_ps2
-    if n > boundary:
-        p, s2 = scheme.weights(n, start=boundary + 1)
-        ps2 = p * s2
-        chunk_p, chunk_ps2 = exact_sums(np.stack([p, ps2])).tolist()
-        sum_p = run_p + chunk_p
-        sum_ps2 = run_ps2 + chunk_ps2
-        max_ps2 = max(max_ps2, float(ps2.max()))
-        max_sigma2 = max(max_sigma2, float(s2.max()))
 
-    s2_n = (float(n) - sum_p) + sum_ps2
-    return ArrayStats(
-        n=n,
-        s2_n=s2_n,
-        contamination_mass=sum_ps2 / n,
-        mean_p=sum_p / n,
-        feller_max=max_ps2 / s2_n,
-        max_sigma2=max_sigma2,
-        scheme=scheme,
-        _boundary=boundary,
-        _run_p=run_p,
-        _run_ps2=run_ps2,
-        _max_ps2=max_ps2,
-    )
+def grid_walk(scheme: ContaminationScheme, n_grid) -> GridWalk:
+    """One chunk-aligned pass over k = 1..max(n_grid), with exact partial sums."""
+    grid = tuple(int(n) for n in n_grid)
+    if not grid or grid[0] < 1 or any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ValueError(f"sample sizes must be increasing and >= 1, got {grid}")
+    top = grid[-1]
+    ps2_all, sigma, q = np.empty(top), np.empty(top), np.empty(top)
+    stats = []
+    run = (0.0, 0.0, 0.0, 1.0)  # sum p, sum p s2, max p s2, max s2 over full chunks
+    for lo in range(0, top, _CHUNK):
+        p, s2 = scheme.weights(min(lo + _CHUNK, top), start=lo + 1)
+        hi = lo + p.size
+        ps2 = np.multiply(p, s2, out=ps2_all[lo:hi])
+        np.sqrt(s2, out=sigma[lo:hi])
+        np.subtract(1.0, p, out=q[lo:hi])
+        points = [n for n in grid if lo < n <= hi]
+        full = hi - lo == _CHUNK
+        for n in points + ([hi] if full and hi not in points else []):
+            m = n - lo
+            chunk_p, chunk_ps2 = exact_sums(np.stack([p[:m], ps2[:m]])).tolist()
+            acc = (run[0] + chunk_p, run[1] + chunk_ps2,
+                   max(run[2], float(ps2[:m].max())), max(run[3], float(s2[:m].max())))
+            if n in points:
+                s2_n = (float(n) - acc[0]) + acc[1]
+                stats.append(ArrayStats(n, s2_n, acc[1] / n, acc[0] / n, acc[2] / s2_n, acc[3]))
+        if full:
+            run = acc
+    return GridWalk(scheme, grid, tuple(stats), ps2_all, sigma, q)
+
+
+def array_stats(scheme: ContaminationScheme, n: int) -> ArrayStats:
+    """Exact one-pass partial sums for k = 1..n."""
+    return grid_walk(scheme, (n,)).stats[0]
+
+
+def _walked(scheme: ContaminationScheme, n_grid, walk: GridWalk | None) -> GridWalk:
+    """``walk`` if it was made for this scheme and n_grid, else a new walk."""
+    grid = validate_geometric_grid(n_grid)
+    if walk is not None and (walk.grid != grid or walk.scheme != scheme):
+        raise ValueError("walk was made for a different scheme or n_grid")
+    return walk or grid_walk(scheme, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -272,52 +276,59 @@ def _classify_trend(vals: list[float]) -> tuple[Trend, float | None]:
     return Trend.UNDETERMINED, None
 
 
-def _limit_estimate(scheme: ContaminationScheme, n_grid, value_fn) -> LimitEstimate:
-    grid = validate_geometric_grid(n_grid)
-    stats: ArrayStats | None = None
-    values: list[tuple[int, float]] = []
-    for n in grid:
-        stats = array_stats(scheme, n, extend_from=stats)
-        values.append((n, float(value_fn(stats))))
+def _limit_estimate(walk: GridWalk, value_fn) -> LimitEstimate:
+    values = [(s.n, float(value_fn(s))) for s in walk.stats]
     vals = [v for _, v in values]
     trend, estimate = _classify_trend(vals)
     return LimitEstimate(values=tuple(values), last=vals[-1], trend=trend,
                          estimate=estimate)
 
 
-def condition_a(scheme: ContaminationScheme, n_grid=DEFAULT_N_GRID) -> LimitEstimate:
+def condition_a(scheme: ContaminationScheme, n_grid=DEFAULT_N_GRID, walk=None) -> LimitEstimate:
     """Does (1/n^2) * sum p_k sigma_k^2 vanish?  Governs weak consistency."""
-    return _limit_estimate(scheme, n_grid, lambda s: s.contamination_mass / s.n)
+    return _limit_estimate(_walked(scheme, n_grid, walk), lambda s: s.contamination_mass / s.n)
 
 
-def condition_b(scheme: ContaminationScheme, n_grid=DEFAULT_N_GRID) -> LimitEstimate:
+def condition_b(scheme: ContaminationScheme, n_grid=DEFAULT_N_GRID, walk=None) -> LimitEstimate:
     """Does (1/s_n^2) * max_k sigma_k^2 vanish?  Forces the Lindeberg condition."""
-    return _limit_estimate(scheme, n_grid, lambda s: s.max_sigma2 / s.s2_n)
+    return _limit_estimate(_walked(scheme, n_grid, walk), lambda s: s.max_sigma2 / s.s2_n)
 
 
-def condition_c(scheme: ContaminationScheme, n_grid=DEFAULT_N_GRID) -> LimitEstimate:
+def condition_c(scheme: ContaminationScheme, n_grid=DEFAULT_N_GRID, walk=None) -> LimitEstimate:
     """Does (1/s_n^2) * max_k p_k sigma_k^2 vanish?  Equivalent to Feller's condition."""
-    return _limit_estimate(scheme, n_grid, lambda s: s.feller_max)
+    return _limit_estimate(_walked(scheme, n_grid, walk), lambda s: s.feller_max)
 
 
 # ---------------------------------------------------------------------------
 # Lindeberg sums and index
 # ---------------------------------------------------------------------------
 
-def _lindeberg_values(scheme: ContaminationScheme, dist: BaseDistribution,
-                      n: int, eps_list, stats: ArrayStats | None = None) -> list[float]:
-    """Lindeberg sums of the standardized array at row n for several epsilons."""
-    if stats is None:
-        stats = array_stats(scheme, n)
+def _lindeberg_values(walk: GridWalk, stats: ArrayStats, dist: BaseDistribution,
+                      eps_list) -> list[float]:
+    """Lindeberg sums of the standardized array at row stats.n for several epsilons.
+
+    Each row's tail moments fill one buffer block by block; one ``np.dot``
+    over the whole row reduces it.  A block whose thresholds are all at least
+    ``dist.zero_from`` is zero-filled; none exceeds the checked eps * s_n.
+    """
+    n = stats.n
     s_n = math.sqrt(stats.s2_n)
-    p, s2 = scheme.weights(n)
-    ps2 = p * s2
-    base_weight = float(np.sum(1.0 - p))  # sum of (1 - p_k)
-    threshold_scale = s_n / np.sqrt(s2)   # per-index threshold is eps * s_n / sigma_k
+    base_weight = float(np.sum(walk.q[:n]))  # sum of (1 - p_k)
+    threshold_scale = s_n / walk.sigma[:n]   # per-index threshold is eps * s_n / sigma_k
+    starts = range(0, n, _BLOCK)
+    floors = np.minimum.reduceat(threshold_scale, starts).tolist()
+    row, t = np.empty(n), np.empty(min(n, _BLOCK))
     out = []
     for eps in eps_list:
         term_base = base_weight * dist.truncated_second_moment(eps * s_n)
-        term_inflated = float(np.dot(ps2, dist.truncated_second_moment(eps * threshold_scale)))
+        for lo, floor in zip(starts, floors):
+            hi = min(lo + _BLOCK, n)
+            if eps * floor >= dist.zero_from:
+                row[lo:hi] = 0.0
+            else:
+                dist.truncated_second_moment(
+                    np.multiply(eps, threshold_scale[lo:hi], out=t[:hi - lo]), out=row[lo:hi])
+        term_inflated = float(np.dot(walk.ps2[:n], row))
         out.append(min(max((term_base + term_inflated) / stats.s2_n, 0.0), 1.0))
     return out
 
@@ -333,12 +344,11 @@ def lindeberg_sum(scheme: ContaminationScheme, dist: BaseDistribution,
     """
     if not (isinstance(eps, (int, float)) and math.isfinite(eps) and eps > 0.0):
         raise ValueError(f"eps must be finite and positive, got {eps!r}")
-    if n < 1:
-        raise ValueError(f"row size must be >= 1, got {n}")
-    return _lindeberg_values(scheme, dist, n, [float(eps)])[0]
+    walk = grid_walk(scheme, (n,))
+    return _lindeberg_values(walk, walk.stats[0], dist, [float(eps)])[0]
 
 
-def _row_limit_surrogate(col: list[float]) -> tuple[float, bool]:
+def _row_limit_surrogate(col: tuple[float, ...]) -> tuple[float, bool]:
     """Estimate lim sup over n from values on the top half of the n-grid.
 
     Returns (value, trusted).  The estimate is trusted when the values have
@@ -361,8 +371,7 @@ def _row_limit_surrogate(col: list[float]) -> tuple[float, bool]:
 
 
 def lindeberg_index_estimate(scheme: ContaminationScheme, dist: BaseDistribution,
-                             n_grid=DEFAULT_N_GRID,
-                             eps_grid=DEFAULT_EPS_GRID) -> float:
+                             n_grid=DEFAULT_N_GRID, eps_grid=DEFAULT_EPS_GRID, walk=None) -> float:
     """Finite-grid estimate of the Lindeberg index sup_eps limsup_n of the sums.
 
     The sums are nonincreasing in eps, so the supremum is approached as eps
@@ -375,24 +384,12 @@ def lindeberg_index_estimate(scheme: ContaminationScheme, dist: BaseDistribution
     successive refinements change the estimate by less than 1e-3 over a
     three-point window: the small-eps plateau value, clamped to [0, 1].
     """
-    grid = validate_geometric_grid(n_grid)
     eps = validate_eps_grid(eps_grid)
-    top = grid[len(grid) // 2:]
-    if len(top) < 3:
-        raise ValueError("n_grid too short: need at least 3 points in its top half")
+    walk = _walked(scheme, n_grid, walk)
+    rows = [_lindeberg_values(walk, stats, dist, eps)
+            for stats in walk.stats[len(walk.stats) // 2:]]
 
-    stats: ArrayStats | None = None
-    rows = []
-    for n in top:
-        stats = array_stats(scheme, n, extend_from=stats)
-        rows.append(_lindeberg_values(scheme, dist, n, eps, stats=stats))
-
-    g: list[float] = []
-    trusted: list[bool] = []
-    for j in range(len(eps)):
-        value, ok = _row_limit_surrogate([row[j] for row in rows])
-        g.append(value)
-        trusted.append(ok)
+    g, trusted = zip(*(_row_limit_surrogate(col) for col in zip(*rows)))
 
     # contiguous trusted suffix reachable from the large-eps end
     first = len(eps)
@@ -410,20 +407,14 @@ def lindeberg_index_estimate(scheme: ContaminationScheme, dist: BaseDistribution
     return g[first]  # no plateau: smallest trusted eps
 
 
-def lindeberg_upper_bound(scheme: ContaminationScheme, n_grid=DEFAULT_N_GRID) -> float:
+def lindeberg_upper_bound(scheme: ContaminationScheme, n_grid=DEFAULT_N_GRID, walk=None) -> float:
     """Finite surrogate of limsup (1/s_n^2) * sum p_k sigma_k^2, clamped to [0, 1].
 
     This bounds the Lindeberg index from above for every scheme; the bound is
     attained for monotone inflation sequences growing at least linearly.
     """
-    grid = validate_geometric_grid(n_grid)
-    stats: ArrayStats | None = None
-    best = 0.0
-    top_start = len(grid) // 2
-    for i, n in enumerate(grid):
-        stats = array_stats(scheme, n, extend_from=stats)
-        if i >= top_start:
-            best = max(best, stats.contamination_mass * stats.n / stats.s2_n)
+    stats = _walked(scheme, n_grid, walk).stats
+    best = max(0.0, *(s.contamination_mass * s.n / s.s2_n for s in stats[len(stats) // 2:]))
     return min(max(best, 0.0), 1.0)
 
 

@@ -27,6 +27,7 @@ from .analytic import (
     RegimeCase,
     Trend,
     classify_power_law,
+    grid_walk,
     lindeberg_index_estimate,
     lindeberg_upper_bound,
     condition_a,
@@ -282,14 +283,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         classification = classify_power_law(config.scheme.p, config.scheme.a,
                                             config.scheme.s2, config.scheme.b)
 
-    conditions = {
-        "A": condition_a(config.scheme, config.n_grid),
-        "B": condition_b(config.scheme, config.n_grid),
-        "C": condition_c(config.scheme, config.n_grid),
-    }
-    index_estimate = lindeberg_index_estimate(config.scheme, dist,
-                                              config.n_grid, config.eps_grid)
-    index_bound = lindeberg_upper_bound(config.scheme, config.n_grid)
+    walk = grid_walk(config.scheme, config.n_grid)
+    conditions = {name: condition(config.scheme, config.n_grid, walk) for name, condition
+                  in (("A", condition_a), ("B", condition_b), ("C", condition_c))}
+    index_estimate = lindeberg_index_estimate(config.scheme, dist, config.n_grid,
+                                              config.eps_grid, walk)
+    index_bound = lindeberg_upper_bound(config.scheme, config.n_grid, walk)
+    del walk  # the replicate loop does not need the grid's per-index arrays
 
     result = replicate(config.reps, config.n, config.scheme, dist,
                        config.mu, config.seed, workers=config.workers)

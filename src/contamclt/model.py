@@ -117,21 +117,16 @@ class ContaminationScheme:
 # Base distributions
 # ---------------------------------------------------------------------------
 
-def _validate_threshold(t) -> np.ndarray:
-    arr = np.asarray(t, dtype=np.float64)
-    if not np.all(np.isfinite(arr)) or np.any(arr < 0.0):
-        raise ValueError(f"threshold must be finite and >= 0, got {t!r}")
-    return arr
-
-
 class BaseDistribution:
     """A zero-mean, unit-variance distribution used as the mixture shape.
 
     Subclasses provide draws, the density, and the truncated second moment
-    in closed form.
+    in closed form (``_tail_moment``).  ``zero_from`` is a threshold from
+    which that closed form is exactly +0.0 in float64, not a subnormal.
     """
 
     kind: str = "generic"
+    zero_from: float = math.inf
 
     def draw(self, rng: np.random.Generator, size: int | None = None):
         raise NotImplementedError
@@ -139,9 +134,21 @@ class BaseDistribution:
     def pdf(self, x):
         raise NotImplementedError
 
-    def truncated_second_moment(self, t):
-        """E[X^2; |X| >= t]; equals 1 at t = 0 and is nonincreasing in t."""
-        raise NotImplementedError
+    def truncated_second_moment(self, t, out=None):
+        """E[X^2; |X| >= t]; equals 1 at t = 0 and is nonincreasing in t.
+
+        ``out``, if given, receives the values; shaped like ``t``, not overlapping it.
+        """
+        arr = np.asarray(t, dtype=np.float64)
+        if arr.size and not (arr.min() >= 0.0 and arr.max() < math.inf):
+            raise ValueError(f"threshold must be finite and >= 0, got {t!r}")
+        out = np.empty(arr.shape) if out is None else out
+        self._tail_moment(arr, out)
+        np.clip(out, 0.0, 1.0, out=out)
+        return float(out) if arr.ndim == 0 else out
+
+    def _tail_moment(self, t: np.ndarray, out: np.ndarray) -> None:
+        raise NotImplementedError  # writes the unclipped closed form at t into out
 
     def __eq__(self, other) -> bool:
         return type(other) is type(self)
@@ -157,6 +164,7 @@ class StdNormal(BaseDistribution):
     """Standard normal base distribution."""
 
     kind = "normal"
+    zero_from = 40.0  # exp(-t^2/2) and erfc(t/sqrt(2)) both underflow to 0.0
 
     def draw(self, rng, size=None):
         return rng.standard_normal() if size is None else rng.standard_normal(size)
@@ -165,20 +173,23 @@ class StdNormal(BaseDistribution):
         x = np.asarray(x, dtype=np.float64)
         return _INV_SQRT_2PI * np.exp(-0.5 * x * x)
 
-    def truncated_second_moment(self, t):
+    def _tail_moment(self, t, out):
         # E[X^2; |X| >= t] = 2*(t*phi(t) + 1 - Phi(t)) by one integration by parts
         from scipy.special import erfc
-        arr = _validate_threshold(t)
-        phi = _INV_SQRT_2PI * np.exp(-0.5 * arr * arr)
-        upper_tail = 0.5 * erfc(arr / _SQRT2)
-        out = np.clip(2.0 * (arr * phi + upper_tail), 0.0, 1.0)
-        return float(out) if arr.ndim == 0 else out
+        np.multiply(t, -0.5, out=out)
+        out *= t
+        np.exp(out, out=out)
+        out *= _INV_SQRT_2PI  # phi(t)
+        out *= t
+        out += 0.5 * erfc(t / _SQRT2)
+        out *= 2.0
 
 
 class StdUniform(BaseDistribution):
     """Uniform on [-sqrt(3), sqrt(3)], standardized to unit variance."""
 
     kind = "uniform"
+    zero_from = _SQRT3  # the support ends there
 
     def draw(self, rng, size=None):
         return rng.uniform(-_SQRT3, _SQRT3, size)
@@ -187,12 +198,10 @@ class StdUniform(BaseDistribution):
         x = np.asarray(x, dtype=np.float64)
         return np.where(np.abs(x) <= _SQRT3, 1.0 / (2.0 * _SQRT3), 0.0)
 
-    def truncated_second_moment(self, t):
+    def _tail_moment(self, t, out):
         # exact polynomial tail: 1 - t^3 / (3*sqrt(3)) inside the support
-        arr = _validate_threshold(t)
-        out = np.where(arr >= _SQRT3, 0.0, 1.0 - arr ** 3 / (3.0 * _SQRT3))
-        out = np.clip(out, 0.0, 1.0)
-        return float(out) if arr.ndim == 0 else out
+        np.subtract(1.0, t ** 3 / (3.0 * _SQRT3), out=out)
+        np.copyto(out, 0.0, where=t >= _SQRT3)
 
 
 class StdLaplace(BaseDistribution):
@@ -200,6 +209,7 @@ class StdLaplace(BaseDistribution):
 
     kind = "laplace"
     scale = 1.0 / _SQRT2
+    zero_from = 530.0  # exp(-sqrt(2) t) underflows to 0.0 (t^2 overflows past 1e154)
 
     def draw(self, rng, size=None):
         return rng.laplace(0.0, self.scale, size)
@@ -208,11 +218,11 @@ class StdLaplace(BaseDistribution):
         x = np.asarray(x, dtype=np.float64)
         return np.exp(-np.abs(x) / self.scale) / (2.0 * self.scale)
 
-    def truncated_second_moment(self, t):
+    def _tail_moment(self, t, out):
         # exact exponential tail: exp(-sqrt(2) t) * (t^2 + sqrt(2) t + 1)
-        arr = _validate_threshold(t)
-        out = np.clip(np.exp(-_SQRT2 * arr) * (arr * arr + _SQRT2 * arr + 1.0), 0.0, 1.0)
-        return float(out) if arr.ndim == 0 else out
+        np.multiply(-_SQRT2, t, out=out)
+        np.exp(out, out=out)
+        out *= t * t + _SQRT2 * t + 1.0
 
 
 _DISTRIBUTIONS: dict[str, BaseDistribution] = {

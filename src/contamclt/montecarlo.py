@@ -60,7 +60,7 @@ class EmpiricalCdf:
     def inverse(self, t):
         """Smallest x_(i) with i/R >= t, for t in (0, 1]; vectorized."""
         arr = np.asarray(t, dtype=np.float64)
-        if np.any(arr <= 0.0) or np.any(arr > 1.0):
+        if not np.all((arr > 0.0) & (arr <= 1.0)):  # nan fails both tests
             raise ValueError(f"levels must lie in (0, 1], got {t!r}")
         idx = np.ceil(arr * self.R).astype(np.int64)
         # correct one-ulp slips in t*R around integer products
@@ -114,10 +114,9 @@ _BLOCK_ELEMS = 1 << 16
 
 
 def _replicate_chunk(args) -> np.ndarray:
-    scheme, dist, n, master_seed, lo, hi = args
+    scheme, dist, n, s_n, master_seed, lo, hi = args
     p, s2 = scheme.weights(n)
     sigma = np.sqrt(s2)
-    s_n = math.sqrt(array_stats(scheme, n).s2_n)
     step = max(1, _BLOCK_ELEMS // n)
     block = np.empty((min(step, hi - lo), n))
     out = np.empty(hi - lo, dtype=np.float64)
@@ -147,15 +146,14 @@ def replicate(R: int, n: int, scheme: ContaminationScheme, dist: BaseDistributio
 
     s_n = math.sqrt(array_stats(scheme, n).s2_n)
     if workers == 1:
-        samples = _replicate_chunk((scheme, dist, n, master_seed, 0, R))
+        samples = _replicate_chunk((scheme, dist, n, s_n, master_seed, 0, R))
     else:
-        step = max(1, -(-R // (4 * workers)))
-        bounds = [(lo, min(lo + step, R)) for lo in range(0, R, step)]
-        tasks = [(scheme, dist, n, master_seed, lo, hi) for lo, hi in bounds]
-        pool_size = min(workers, len(tasks), os.cpu_count() or 1)
+        pool_size = min(workers, R, os.cpu_count() or 1)
+        step = -(-R // (4 * pool_size))
+        tasks = [(scheme, dist, n, s_n, master_seed, lo, min(lo + step, R))
+                 for lo in range(0, R, step)]
         with ProcessPoolExecutor(max_workers=pool_size) as pool:
-            parts = list(pool.map(_replicate_chunk, tasks))
-        samples = np.concatenate(parts)
+            samples = np.concatenate(list(pool.map(_replicate_chunk, tasks)))
 
     ks = kolmogorov_distance_to_normal(samples)
     return ReplicationResult(samples=samples, n=n, reps=R, scheme=scheme,
@@ -168,7 +166,7 @@ def qq_points(ecdf: EmpiricalCdf, t_grid) -> tuple[QQPoint, ...]:
     arr = np.asarray(t_grid, dtype=np.float64).ravel()
     if arr.size == 0:
         raise ValueError("t grid must be nonempty")
-    if np.any(arr <= 0.0) or np.any(arr >= 1.0):
+    if not np.all((arr > 0.0) & (arr < 1.0)):
         raise ValueError("t grid must lie strictly inside (0, 1)")
     if np.any(np.diff(arr) <= 0.0):
         raise ValueError("t grid must be strictly increasing")

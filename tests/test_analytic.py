@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
 
+from contamclt import analytic
 from contamclt.analytic import (
     DEFAULT_EPS_GRID,
     DEFAULT_N_GRID,
@@ -17,6 +18,7 @@ from contamclt.analytic import (
     array_stats,
     classify_power_law,
     closed_form_index,
+    grid_walk,
     condition_a,
     condition_b,
     condition_c,
@@ -28,7 +30,7 @@ from contamclt.analytic import (
     validate_eps_grid,
     validate_geometric_grid,
 )
-from contamclt.model import ContaminationScheme, StdNormal, StdUniform
+from contamclt.model import ContaminationScheme, StdLaplace, StdNormal, StdUniform
 
 NORMAL = StdNormal()
 CASE3 = ContaminationScheme.power_law(0.1, 1.0, 4.0, 1.0)
@@ -63,39 +65,45 @@ def test_hand_computed_cumulative_variance_at_n2():
     assert st_.s2_n == pytest.approx(2.65, abs=1e-12)
 
 
-def test_incremental_extension_is_bitwise_identical():
+def test_grid_walk_points_equal_fresh_stats():
     scheme = ContaminationScheme.power_law(0.37, 0.8, 7.0, 1.1)
-    base = array_stats(scheme, 45_000)
-    extended = array_stats(scheme, 150_000, extend_from=base)
-    fresh = array_stats(scheme, 150_000)
-    assert extended == fresh
-    assert extended.s2_n == fresh.s2_n
-    assert extended.contamination_mass == fresh.contamination_mass
-    assert extended.feller_max == fresh.feller_max
+    walk = grid_walk(scheme, (45_000, 150_000))
+    for stats in walk.stats:
+        fresh = array_stats(scheme, stats.n)
+        assert stats == fresh
+        assert stats.s2_n == fresh.s2_n
+        assert stats.contamination_mass == fresh.contamination_mass
+        assert stats.feller_max == fresh.feller_max
 
 
-def test_incremental_extension_across_chunk_boundaries():
-    # accumulation chunks are 2**16 wide; cross the boundary every way
+def test_grid_walk_across_chunk_boundaries():
+    # weights are fetched in 2**16-wide chunks; put grid points on, just
+    # before and just after chunk boundaries, several to a chunk and none
     scheme = ContaminationScheme.power_law(0.2, 0.6, 3.0, 0.8)
-    chunk = 1 << 16
-    for start, stop in [(chunk - 1, chunk), (chunk, chunk + 1),
-                        (10, chunk + 10), (chunk + 5, 3 * chunk + 7)]:
-        base = array_stats(scheme, start)
-        assert array_stats(scheme, stop, extend_from=base) == array_stats(scheme, stop)
-    # chaining through several sizes matches direct evaluation too
-    chained = None
-    for n in (100, 5000, chunk, 2 * chunk + 3):
-        chained = array_stats(scheme, n, extend_from=chained)
-        assert chained == array_stats(scheme, n)
+    chunk = analytic._CHUNK
+    for grid in [(chunk - 1, chunk), (chunk, chunk + 1), (10, chunk + 10),
+                 (chunk + 5, 3 * chunk + 7), (100, 5000, chunk, 2 * chunk + 3)]:
+        walk = grid_walk(scheme, grid)
+        assert walk.grid == grid
+        assert walk.stats == tuple(array_stats(scheme, n) for n in grid)
+        # the kept per-index arrays are those of one weights call over the row
+        p, s2 = scheme.weights(grid[-1])
+        for kept, direct in ((walk.ps2, p * s2), (walk.sigma, np.sqrt(s2)), (walk.q, 1.0 - p)):
+            assert np.array_equal(kept.view(np.int64), direct.view(np.int64))
 
 
-def test_extension_misuse_errors():
+def test_walk_for_another_scheme_or_grid_is_refused():
     other = ContaminationScheme.power_law(0.2, 1.0, 2.0, 1.0)
-    base = array_stats(CASE3, 100)
+    walk = grid_walk(CASE3, SMALL_GRID)
+    assert condition_a(CASE3, SMALL_GRID, walk) == condition_a(CASE3, SMALL_GRID)
     with pytest.raises(ValueError):
-        array_stats(other, 200, extend_from=base)
+        condition_a(other, SMALL_GRID, walk)
     with pytest.raises(ValueError):
-        array_stats(CASE3, 50, extend_from=base)
+        lindeberg_upper_bound(CASE3, tuple(2 * n for n in SMALL_GRID), walk)
+    with pytest.raises(ValueError):
+        grid_walk(CASE3, (100, 50))
+    with pytest.raises(ValueError):
+        array_stats(CASE3, 0)
 
 
 def test_s2_strictly_increasing_in_n():
@@ -220,6 +228,43 @@ def test_lindeberg_sum_domain_errors():
         lindeberg_sum(CASE3, NORMAL, 100, -1.0)
     with pytest.raises(ValueError):
         lindeberg_sum(CASE3, NORMAL, 100, math.inf)
+
+
+def _row_at_once(scheme, dist, n, eps_list):
+    """The Lindeberg sums of row n with every tail moment of the row in one call."""
+    stats = array_stats(scheme, n)
+    s_n = math.sqrt(stats.s2_n)
+    p, s2 = scheme.weights(n)
+    ps2, base_weight, scale = p * s2, float(np.sum(1.0 - p)), s_n / np.sqrt(s2)
+    return [min(max((base_weight * dist.truncated_second_moment(eps * s_n)
+                     + float(np.dot(ps2, dist.truncated_second_moment(eps * scale))))
+                    / stats.s2_n, 0.0), 1.0) for eps in eps_list]
+
+
+@pytest.mark.parametrize("dist", [NORMAL, StdUniform(), StdLaplace()], ids=lambda d: d.kind)
+def test_blocked_lindeberg_values_equal_row_at_once(dist):
+    block = analytic._BLOCK
+    # eps up to 1e3 puts whole blocks past each base's exact-zero cutoff
+    eps_list = list(DEFAULT_EPS_GRID) + [30.0, 100.0, 1e3]
+    evaluated = []
+
+    class Counted(type(dist)):
+        def _tail_moment(self, t, out):
+            evaluated.append(t.size)
+            super()._tail_moment(t, out)
+
+    schemes = (ContaminationScheme.power_law(0.2, 1.0, 20.0, 1.0),
+               ContaminationScheme.power_law(0.3, 0.5, 8.0, 1.2))
+    for scheme in schemes:
+        for n in (1000, 2 * block + 123, 3 * block):
+            walk = grid_walk(scheme, (n,))
+            evaluated.clear()
+            blocked = analytic._lindeberg_values(walk, walk.stats[0], Counted(), eps_list)
+            want = _row_at_once(scheme, dist, n, eps_list)
+            assert [v.hex() for v in blocked] == [v.hex() for v in want], (scheme, n)
+            if n > block:
+                # the scalar base terms are 1 element each; the rest are row blocks
+                assert sum(evaluated) < len(eps_list) * (n + 1), "no block was zero-filled"
 
 
 def test_index_estimate_uncontaminated_is_zero():

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import contamclt.cli as cli
+from contamclt import analytic
 from contamclt.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_VALIDATION, SETTINGS, main
 from contamclt.experiment import (
     ConfigError,
@@ -63,6 +64,27 @@ def test_json_roundtrip_equal(small_report):
     again = ExperimentReport.from_dict(json.loads(json.dumps(data)))
     assert again == small_report
     assert again.to_dict() == data
+
+
+def test_run_experiment_walks_the_grid_once(monkeypatch):
+    # conditions, bound and index estimate share one chunk-aligned walk, so
+    # the grid's weights are fetched exactly once per chunk; the replicate
+    # loop's own calls (row n = 100) are left out of the count
+    n_grid = tuple(9000 * 2 ** j for j in range(6))  # top 288000: five chunks
+    calls = []
+    weights = ContaminationScheme.weights
+
+    def counted(self, n, start=1):
+        calls.append((start, n))
+        return weights(self, n, start)
+
+    monkeypatch.setattr(ContaminationScheme, "weights", counted)
+    config = fast_config(n=100, reps=20, n_grid=n_grid, dist="uniform")
+    run_experiment(config)
+    chunk, top = analytic._CHUNK, n_grid[-1]
+    walk = [call for call in calls if call[1] != config.n]
+    assert len(walk) == -(-top // chunk) == 5
+    assert walk == [(lo + 1, min(lo + chunk, top)) for lo in range(0, top, chunk)]
 
 
 def test_uncontaminated_report_has_no_classification(tmp_path):

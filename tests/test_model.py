@@ -143,6 +143,32 @@ def test_truncated_moment_domain_errors(dist):
 
 
 @pytest.mark.parametrize("dist", ALL_DISTS, ids=lambda d: d.kind)
+def test_truncated_moment_is_exact_zero_from_cutoff(dist):
+    # the Lindeberg sums zero-fill blocks past zero_from; the closed form must
+    # give +0.0 there (bit pattern 0), not a subnormal.  Up to 1e150: past
+    # about 1.3e154 the Laplace form's t^2 overflows.
+    ts = np.concatenate([[dist.zero_from], np.geomspace(dist.zero_from, 1e150, 20_001),
+                         np.nextafter(dist.zero_from, np.inf) + np.arange(1000) * 1e-3])
+    with np.errstate(over="ignore"):  # the uniform form's t^3 overflows
+        assert np.all(dist.truncated_second_moment(ts).view(np.int64) == 0)
+    # and the cutoff is not loose by more than a few percent
+    assert dist.truncated_second_moment(0.96 * dist.zero_from) > 0.0
+
+
+@pytest.mark.parametrize("dist", ALL_DISTS, ids=lambda d: d.kind)
+def test_truncated_moment_out_argument(dist):
+    ts = np.concatenate([np.linspace(0.0, 45.0, 4097), [0.0, 1e-300, 5e-324, 600.0]])
+    want = dist.truncated_second_moment(ts)
+    out = np.full_like(ts, np.nan)
+    assert dist.truncated_second_moment(ts, out=out) is out
+    assert np.array_equal(out.view(np.int64), want.view(np.int64))
+    for t in ts[::97]:
+        assert dist.truncated_second_moment(float(t)) == want[ts == t][0]
+    with pytest.raises(ValueError):
+        dist.truncated_second_moment(np.array([1.0, -1.0]), out=np.empty(2))
+
+
+@pytest.mark.parametrize("dist", ALL_DISTS, ids=lambda d: d.kind)
 def test_mean_zero_variance_one_by_quadrature(dist):
     upper = math.sqrt(3.0) if dist.kind == "uniform" else np.inf
     mean = quad(lambda x: x * dist.pdf(x), -upper, upper, epsabs=1e-12)[0]

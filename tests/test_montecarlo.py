@@ -2,6 +2,7 @@
 
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -71,6 +72,40 @@ def test_replicate_pool_is_capped_by_cpus_and_tasks(monkeypatch):
     one = replicate(40, 30, CASE3, NORMAL, 0.0, 5, workers=1)
     assert len(sizes) == 1 and 1 <= sizes[0] <= min(os.cpu_count() or 1, 40)
     assert np.array_equal(many.samples.view(np.int64), one.samples.view(np.int64))
+
+
+def test_replicate_splits_tasks_by_the_capped_pool(monkeypatch):
+    # the task count follows the pool, not the requested worker count, and
+    # s_n is computed once, in the caller, not again in every task
+    pools = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            self.size, self.tasks = max_workers, []
+            pools.append(self)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            self.tasks = list(tasks)
+            return map(fn, self.tasks)
+
+    stats_calls = []
+    array_stats = montecarlo.array_stats
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(montecarlo, "array_stats",
+                        lambda *args: stats_calls.append(args) or array_stats(*args))
+    runs = {w: replicate(400, 20, CASE3, NORMAL, 0.0, 5, workers=w) for w in (1, 2, 10 ** 6)}
+    assert [pool.size for pool in pools] == [2, 2]
+    assert all(1 < len(pool.tasks) <= 4 * pool.size for pool in pools)
+    assert len(stats_calls) == 3
+    for run in runs.values():
+        assert np.array_equal(run.samples.view(np.int64), runs[1].samples.view(np.int64))
 
 
 def test_replicate_block_boundaries_do_not_change_samples(monkeypatch):
@@ -172,6 +207,17 @@ def test_inverse_domain():
         ecdf.inverse(1.5)
     with pytest.raises(ValueError):
         EmpiricalCdf.from_samples([])
+
+
+def test_inverse_rejects_nan_levels():
+    ecdf = EmpiricalCdf.from_samples([1.0, 2.0, 3.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in (math.nan, [0.5, math.nan]):
+            with pytest.raises(ValueError):
+                ecdf.inverse(bad)
+        with pytest.raises(ValueError):
+            qq_points(ecdf, [0.25, math.nan])
 
 
 # ---------------------------------------------------------------------------
