@@ -35,7 +35,6 @@ from .analytic import (  # noqa: F401
     normal_quantile,
 )
 from .montecarlo import (  # noqa: F401
-    EmpiricalCdf,
     QQPoint,
     ReplicationResult,
     qq_points,

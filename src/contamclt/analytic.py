@@ -209,10 +209,10 @@ class LimitEstimate:
     estimate: float | None
 
 
-def validate_geometric_grid(grid, min_points: int = 6) -> tuple[int, ...]:
+def validate_geometric_grid(grid) -> tuple[int, ...]:
     out = tuple(int(n) for n in grid)
-    if len(out) < min_points:
-        raise ValueError(f"grid needs at least {min_points} points, got {len(out)}")
+    if len(out) < 6:
+        raise ValueError(f"grid needs at least 6 points, got {len(out)}")
     if out[0] < 1 or any(b <= a for a, b in zip(out, out[1:])):
         raise ValueError("grid must be strictly increasing positive integers")
     ratios = [b / a for a, b in zip(out, out[1:])]

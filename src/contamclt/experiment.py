@@ -4,8 +4,9 @@ An experiment classifies the scheme (power-law only), evaluates the three
 limit conditions, estimates the Lindeberg index and its upper bound, runs
 the replication study, and renders CSV/SVG/JSON outputs.  Outputs are
 written atomically (temp file then rename) and never overwritten without an
-explicit force flag.  Reports serialize to JSON losslessly and a rerun of
-the same config produces byte-identical CSV and JSON.
+explicit force flag.  Every float of a JSON report is written at full
+precision and ``json.loads`` reads it back bit for bit; a rerun of the same
+config produces byte-identical CSV and JSON.
 """
 
 from __future__ import annotations
@@ -23,9 +24,6 @@ from .analytic import (
     DEFAULT_EPS_GRID,
     DEFAULT_N_GRID,
     Classification,
-    LimitEstimate,
-    RegimeCase,
-    Trend,
     classify_power_law,
     grid_walk,
     lindeberg_index_estimate,
@@ -123,7 +121,10 @@ _ECHOED = tuple(f.name for f in fields(ExperimentConfig)
 
 @dataclass(frozen=True)
 class ExperimentReport:
-    """Full result of one experiment, serializable to JSON losslessly.
+    """Full result of one experiment.
+
+    In the JSON form (``to_dict``, ``emit_json``) every float is written at
+    full precision, and ``json.loads`` reads it back bit for bit.
 
     ``duration_seconds`` is volatile timing information: it is kept on the
     in-memory report for logging but excluded from serialization and from
@@ -190,49 +191,6 @@ class ExperimentReport:
             "assumptions": list(self.assumptions),
         }
 
-    @staticmethod
-    def from_dict(data: dict) -> "ExperimentReport":
-        cfg = data["config"]
-        sch = cfg["scheme"]
-        kind = SchemeKind(sch["kind"])
-        if kind is SchemeKind.POWER_LAW:
-            scheme = ContaminationScheme.power_law(sch["p"], sch["a"], sch["s2"], sch["b"])
-        elif kind is SchemeKind.TABULAR:
-            scheme = ContaminationScheme.tabular(sch["p_k"], sch["sigma2_k"])
-        else:
-            scheme = ContaminationScheme.uncontaminated()
-        config = ExperimentConfig(
-            scheme=scheme, tabular_path=sch.get("source"), **{
-                name: tuple(cfg[name]) if isinstance(cfg[name], list) else cfg[name]
-                for name in _ECHOED
-            })
-        classification = None
-        if data["classification"] is not None:
-            c = data["classification"]
-            classification = Classification(RegimeCase(c["case"]),
-                                            c["lindeberg_index"], c["L"])
-        conditions = {
-            name: LimitEstimate(
-                values=tuple((int(n), float(v)) for n, v in entry["values"]),
-                last=entry["last"],
-                trend=Trend(entry["trend"]),
-                estimate=entry["estimate"],
-            )
-            for name, entry in data["conditions"].items()
-        }
-        return ExperimentReport(
-            config=config,
-            classification=classification,
-            conditions=conditions,
-            lindeberg_index_estimate=data["lindeberg_index_estimate"],
-            lindeberg_upper_bound=data["lindeberg_upper_bound"],
-            ks_statistic=data["ks_statistic"],
-            s_n=data["s_n"],
-            qq=tuple(QQPoint(t, q, e) for t, q, e in data["qq_points"]),
-            assumptions=tuple(data["assumptions"]),
-            tool_version=data["tool_version"],
-        )
-
 
 def load_tabular_scheme(path: str) -> ContaminationScheme:
     """Read a two-column CSV ``p_k,sigma2_k`` (with header) into a scheme."""
@@ -293,7 +251,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
 
     result = replicate(config.reps, config.n, config.scheme, dist,
                        config.mu, config.seed, workers=config.workers)
-    qq = qq_points(result.ecdf(), default_t_grid())
+    qq = qq_points(result.samples, default_t_grid())
 
     assumptions = (
         f"base distribution '{config.dist}' is a modeling choice; "
@@ -362,7 +320,7 @@ def emit_csv(report: ExperimentReport, path: str, force: bool = False) -> None:
 
 
 def emit_json(report: ExperimentReport, path: str, force: bool = False) -> None:
-    """The full report as JSON; parses back to an equal report."""
+    """The full report as JSON; ``json.loads`` reads every float back bit for bit."""
     _write_atomic(path, json.dumps(report.to_dict(), indent=2) + "\n", force)
 
 

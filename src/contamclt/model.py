@@ -122,7 +122,8 @@ class BaseDistribution:
 
     Subclasses provide draws, the density, and the truncated second moment
     in closed form (``_tail_moment``).  ``zero_from`` is a threshold from
-    which that closed form is exactly +0.0 in float64, not a subnormal.
+    which the moment is exactly +0.0 in float64, not a subnormal; there the
+    closed form may overflow, so +0.0 is written in its place.
     """
 
     kind: str = "generic"
@@ -140,24 +141,19 @@ class BaseDistribution:
         ``out``, if given, receives the values; shaped like ``t``, not overlapping it.
         """
         arr = np.asarray(t, dtype=np.float64)
-        if arr.size and not (arr.min() >= 0.0 and arr.max() < math.inf):
+        lo, hi = (arr.min(), arr.max()) if arr.size else (0.0, 0.0)
+        if not (lo >= 0.0 and hi < math.inf):
             raise ValueError(f"threshold must be finite and >= 0, got {t!r}")
         out = np.empty(arr.shape) if out is None else out
-        self._tail_moment(arr, out)
+        with np.errstate(over="ignore", invalid="ignore"):  # past zero_from only
+            self._tail_moment(arr, out)
+        if hi >= self.zero_from:
+            np.copyto(out, 0.0, where=arr >= self.zero_from)
         np.clip(out, 0.0, 1.0, out=out)
         return float(out) if arr.ndim == 0 else out
 
     def _tail_moment(self, t: np.ndarray, out: np.ndarray) -> None:
         raise NotImplementedError  # writes the unclipped closed form at t into out
-
-    def __eq__(self, other) -> bool:
-        return type(other) is type(self)
-
-    def __hash__(self) -> int:
-        return hash(type(self))
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}()"
 
 
 class StdNormal(BaseDistribution):
@@ -201,7 +197,6 @@ class StdUniform(BaseDistribution):
     def _tail_moment(self, t, out):
         # exact polynomial tail: 1 - t^3 / (3*sqrt(3)) inside the support
         np.subtract(1.0, t ** 3 / (3.0 * _SQRT3), out=out)
-        np.copyto(out, 0.0, where=t >= _SQRT3)
 
 
 class StdLaplace(BaseDistribution):
@@ -209,7 +204,7 @@ class StdLaplace(BaseDistribution):
 
     kind = "laplace"
     scale = 1.0 / _SQRT2
-    zero_from = 530.0  # exp(-sqrt(2) t) underflows to 0.0 (t^2 overflows past 1e154)
+    zero_from = 530.0  # exp(-sqrt(2) t) underflows to 0.0
 
     def draw(self, rng, size=None):
         return rng.laplace(0.0, self.scale, size)

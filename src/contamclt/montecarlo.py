@@ -1,8 +1,8 @@
 """Replication of the standardized sample mean and QQ diagnostics.
 
-A run draws R independent replicates of T_n = (n/s_n) * (mean(X) - mu),
-builds the empirical CDF of the replicates, measures its Kolmogorov distance
-to the standard normal, and produces QQ points (Phi^-1(t), E^-1(t)).
+A run draws R independent replicates of T_n = (n/s_n) * (mean(X) - mu) and
+measures their Kolmogorov distance to the standard normal; ``qq_points``
+reads QQ points (Phi^-1(t), E^-1(t)) off the same sample, sorted once.
 
 Replicate i always uses a generator split from the master seed by i, and
 its sum is correctly rounded (``analytic.exact_sums``, bit for bit
@@ -25,7 +25,6 @@ from .analytic import (array_stats, exact_sums, kolmogorov_distance_to_normal,
 from .model import BaseDistribution, ContaminationScheme, draw_centered_row
 
 __all__ = [
-    "EmpiricalCdf",
     "QQPoint",
     "ReplicationResult",
     "replicate",
@@ -40,72 +39,19 @@ def default_t_grid() -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class EmpiricalCdf:
-    """Sorted replication sample with a generalized-inverse lookup.
-
-    The generalized inverse at level t is the smallest sample x_(i) whose
-    ECDF level i/R reaches t; it is nondecreasing and left-continuous.
-    """
-
-    sorted_samples: np.ndarray
-    R: int
-
-    @staticmethod
-    def from_samples(samples) -> "EmpiricalCdf":
-        arr = np.asarray(samples, dtype=np.float64).ravel()
-        if arr.size == 0:
-            raise ValueError("need at least one sample")
-        return EmpiricalCdf(sorted_samples=np.sort(arr), R=int(arr.size))
-
-    def inverse(self, t):
-        """Smallest x_(i) with i/R >= t, for t in (0, 1]; vectorized."""
-        arr = np.asarray(t, dtype=np.float64)
-        if not np.all((arr > 0.0) & (arr <= 1.0)):  # nan fails both tests
-            raise ValueError(f"levels must lie in (0, 1], got {t!r}")
-        idx = np.ceil(arr * self.R).astype(np.int64)
-        # correct one-ulp slips in t*R around integer products
-        idx = np.where((idx - 1) / self.R >= arr, idx - 1, idx)
-        idx = np.where(idx / self.R < arr, idx + 1, idx)
-        idx = np.clip(idx, 1, self.R)
-        out = self.sorted_samples[idx - 1]
-        return float(out) if arr.ndim == 0 else out
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, EmpiricalCdf) and self.R == other.R
-                and np.array_equal(self.sorted_samples, other.sorted_samples))
-
-
-@dataclass(frozen=True)
 class QQPoint:
     t: float
     theoretical: float  # Phi^-1(t)
     empirical: float    # E^-1(t)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReplicationResult:
-    """R standardized statistics plus the configuration that produced them."""
+    """R standardized statistics, their s_n and their KS distance to N(0, 1)."""
 
     samples: np.ndarray  # in replicate order
-    n: int
-    reps: int
-    scheme: ContaminationScheme
-    dist: BaseDistribution
-    mu: float
-    master_seed: int
     s_n: float
     ks_statistic: float
-
-    def ecdf(self) -> EmpiricalCdf:
-        return EmpiricalCdf.from_samples(self.samples)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, ReplicationResult)
-                and self.n == other.n and self.reps == other.reps
-                and self.scheme == other.scheme and self.dist == other.dist
-                and self.mu == other.mu and self.master_seed == other.master_seed
-                and self.s_n == other.s_n and self.ks_statistic == other.ks_statistic
-                and np.array_equal(self.samples, other.samples))
 
 
 # Replicate rows are stacked into blocks of at most this many elements (at
@@ -155,22 +101,26 @@ def replicate(R: int, n: int, scheme: ContaminationScheme, dist: BaseDistributio
         with ProcessPoolExecutor(max_workers=pool_size) as pool:
             samples = np.concatenate(list(pool.map(_replicate_chunk, tasks)))
 
-    ks = kolmogorov_distance_to_normal(samples)
-    return ReplicationResult(samples=samples, n=n, reps=R, scheme=scheme,
-                             dist=dist, mu=float(mu), master_seed=int(master_seed),
-                             s_n=s_n, ks_statistic=ks)
+    return ReplicationResult(samples, s_n, kolmogorov_distance_to_normal(samples))
 
 
-def qq_points(ecdf: EmpiricalCdf, t_grid) -> tuple[QQPoint, ...]:
-    """One (Phi^-1(t), E^-1(t)) pair per grid level t, sorted by t."""
+def qq_points(samples, t_grid) -> tuple[QQPoint, ...]:
+    """One (Phi^-1(t), E^-1(t)) pair per grid level t, sorted by t.
+
+    E^-1(t) is the generalized inverse of the samples' empirical CDF: the
+    smallest order statistic x_(i) whose level i/R, as a float, reaches t.
+    """
+    xs = np.sort(np.asarray(samples, dtype=np.float64).ravel())
+    if xs.size == 0:
+        raise ValueError("need at least one sample")
     arr = np.asarray(t_grid, dtype=np.float64).ravel()
     if arr.size == 0:
         raise ValueError("t grid must be nonempty")
-    if not np.all((arr > 0.0) & (arr < 1.0)):
+    if not np.all((arr > 0.0) & (arr < 1.0)):  # nan fails both tests
         raise ValueError("t grid must lie strictly inside (0, 1)")
     if np.any(np.diff(arr) <= 0.0):
         raise ValueError("t grid must be strictly increasing")
-    theo = normal_quantile(arr)
-    emp = ecdf.inverse(arr)
+    levels = np.arange(1, xs.size + 1) / xs.size
+    emp = xs[np.searchsorted(levels, arr)]
     return tuple(QQPoint(float(t), float(q), float(e))
-                 for t, q, e in zip(arr, theo, emp))
+                 for t, q, e in zip(arr, normal_quantile(arr), emp))

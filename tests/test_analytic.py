@@ -204,6 +204,8 @@ def test_lindeberg_sum_uniform_vanishes_beyond_support():
     s = ContaminationScheme.uncontaminated()
     for n in (4, 16, 100):
         assert lindeberg_sum(s, StdUniform(), n, 1.0) == 0.0
+    # far past the Laplace cutoff too, where its closed form overflows to nan
+    assert lindeberg_sum(s, StdLaplace(), 1, 1e300) == 0.0
 
 
 def test_lindeberg_sum_tends_to_one_for_tiny_eps():
