@@ -178,8 +178,10 @@ def main(argv=None) -> int:
     if report.config.formats:
         print(f"outputs:              {report.config.out_dir} "
               f"({', '.join(report.config.formats)})")
-    if report.duration_seconds is not None:
-        print(f"wall clock:           {report.duration_seconds:.2f} s")
+    stages = report.stage_seconds
+    print(f"wall clock:           {sum(stages.values()) - stages.get('emit', 0.0):.2f} s")
+    for stage, seconds in stages.items():
+        print(f"  {stage + ':':<20}{seconds:.2f} s")
     return EXIT_OK
 
 

@@ -126,9 +126,10 @@ class ExperimentReport:
     In the JSON form (``to_dict``, ``emit_json``) every float is written at
     full precision, and ``json.loads`` reads it back bit for bit.
 
-    ``duration_seconds`` is volatile timing information: it is kept on the
-    in-memory report for logging but excluded from serialization and from
-    equality, so identical configs produce identical persisted reports.
+    ``stage_seconds`` is volatile timing information: wall-clock seconds per
+    pipeline stage, kept on the in-memory report for logging but excluded
+    from serialization and from equality, so identical configs produce
+    identical persisted reports.
     """
 
     config: ExperimentConfig
@@ -141,7 +142,7 @@ class ExperimentReport:
     qq: tuple[QQPoint, ...]
     assumptions: tuple[str, ...]
     tool_version: str = __version__
-    duration_seconds: float | None = field(default=None, compare=False)
+    stage_seconds: dict = field(default_factory=dict, compare=False)
 
     def annotation_index(self) -> float:
         """Index value to annotate figures with: closed form when known."""
@@ -233,25 +234,32 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     targets = _output_targets(config)
     _check_targets(config, targets)
 
-    started = time.perf_counter()
-    dist = base_distribution(config.dist)
+    stages, clock = {}, [time.perf_counter()]
 
+    def timed(stage: str, value=None):
+        # stages run back to back, so all but "emit" sum to the wall clock
+        clock.append(time.perf_counter())
+        stages[stage] = clock[-1] - clock[-2]
+        return value
+
+    dist = base_distribution(config.dist)
     classification = None
     if config.scheme.kind is SchemeKind.POWER_LAW:
         classification = classify_power_law(config.scheme.p, config.scheme.a,
                                             config.scheme.s2, config.scheme.b)
 
-    walk = grid_walk(config.scheme, config.n_grid)
-    conditions = {name: condition(config.scheme, config.n_grid, walk) for name, condition
-                  in (("A", condition_a), ("B", condition_b), ("C", condition_c))}
-    index_estimate = lindeberg_index_estimate(config.scheme, dist, config.n_grid,
-                                              config.eps_grid, walk)
-    index_bound = lindeberg_upper_bound(config.scheme, config.n_grid, walk)
+    walk = timed("walk", grid_walk(config.scheme, config.n_grid))
+    conditions = timed("conditions", {
+        name: condition(config.scheme, config.n_grid, walk) for name, condition
+        in (("A", condition_a), ("B", condition_b), ("C", condition_c))})
+    index_estimate = timed("index estimate", lindeberg_index_estimate(
+        config.scheme, dist, config.n_grid, config.eps_grid, walk))
+    index_bound = timed("bound", lindeberg_upper_bound(config.scheme, config.n_grid, walk))
     del walk  # the replicate loop does not need the grid's per-index arrays
 
-    result = replicate(config.reps, config.n, config.scheme, dist,
-                       config.mu, config.seed, workers=config.workers)
-    qq = qq_points(result.samples, default_t_grid())
+    result = timed("replicate", replicate(config.reps, config.n, config.scheme, dist,
+                                          config.mu, config.seed, workers=config.workers))
+    qq = timed("qq", qq_points(result.samples, default_t_grid()))
 
     assumptions = (
         f"base distribution '{config.dist}' is a modeling choice; "
@@ -267,11 +275,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         s_n=result.s_n,
         qq=qq,
         assumptions=assumptions,
-        duration_seconds=time.perf_counter() - started,
+        stage_seconds=stages,
     )
 
     for fmt, path in targets.items():
         _EMITTERS[fmt](report, path, force=config.force)
+    timed("emit")
     return report
 
 

@@ -4,10 +4,13 @@ A run draws R independent replicates of T_n = (n/s_n) * (mean(X) - mu) and
 measures their Kolmogorov distance to the standard normal; ``qq_points``
 reads QQ points (Phi^-1(t), E^-1(t)) off the same sample, sorted once.
 
-Replicate i always uses a generator split from the master seed by i, and
-its sum is correctly rounded (``analytic.exact_sums``, bit for bit
-``math.fsum`` of the row), so a run is reproducible and independent of how
-replicates are scheduled across workers or stacked into reduction blocks.
+Replicate i always draws from stream i split from the master seed, and its
+sum is correctly rounded (``analytic.exact_sums``, bit for bit ``math.fsum``
+of the row), so a run is reproducible and independent of how replicates are
+scheduled across workers or stacked into reduction blocks.  The streams of
+one or more whole blocks are derived together by one ``rng.stream_generator``
+call, which re-seeds one generator per row; nothing per replicate outlives
+them.
 """
 
 from __future__ import annotations
@@ -57,6 +60,9 @@ class ReplicationResult:
 # Replicate rows are stacked into blocks of at most this many elements (at
 # least one row) and each block is reduced by one ``exact_sums`` call.
 _BLOCK_ELEMS = 1 << 16
+# Streams are derived for whole blocks and at least this many rows at a
+# time: one derivation has a fixed cost of some 20 per-stream seedings.
+_MIN_STREAMS = 64
 
 
 def _replicate_chunk(args) -> np.ndarray:
@@ -64,14 +70,17 @@ def _replicate_chunk(args) -> np.ndarray:
     p, s2 = scheme.weights(n)
     sigma = np.sqrt(s2)
     step = max(1, _BLOCK_ELEMS // n)
+    batch = step * -(-_MIN_STREAMS // step)
     block = np.empty((min(step, hi - lo), n))
     out = np.empty(hi - lo, dtype=np.float64)
-    for start in range(lo, hi, step):
-        rows = block[:min(step, hi - start)]
-        for j, row in enumerate(rows):
-            row[:] = draw_centered_row(n, p, sigma, dist,
-                                       _rng.stream_generator(master_seed, start + j))
-        out[start - lo:start - lo + len(rows)] = exact_sums(rows) / s_n
+    for first in range(lo, hi, batch):
+        last = min(first + batch, hi)
+        gens = _rng.stream_generator(master_seed, first, last)
+        for start in range(first, last, step):
+            rows = block[:min(step, last - start)]
+            for row, gen in zip(rows, gens):  # rows first, so no stream is skipped
+                row[:] = draw_centered_row(n, p, sigma, dist, gen)
+            out[start - lo:start - lo + len(rows)] = exact_sums(rows) / s_n
     return out
 
 

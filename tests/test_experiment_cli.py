@@ -55,7 +55,10 @@ def test_report_contents(small_report):
     assert set(rep.conditions) == {"A", "B", "C"}
     assert len(rep.qq) == 199
     assert rep.s_n > 0 and 0.0 <= rep.ks_statistic <= 1.0
-    assert rep.duration_seconds is not None and rep.duration_seconds > 0
+    assert list(rep.stage_seconds) == ["walk", "conditions", "index estimate", "bound",
+                                       "replicate", "qq", "emit"]
+    assert all(t >= 0.0 for t in rep.stage_seconds.values())
+    assert sum(rep.stage_seconds.values()) > 0.0
     assert rep.assumptions
 
 
@@ -219,7 +222,12 @@ def test_cli_happy_path(tmp_path, capsys):
     assert code == EXIT_OK
     out = capsys.readouterr().out
     assert "case3-bounded" in out
-    assert (tmp_path / "out" / "report.json").exists()
+    # the stage times follow the wall clock line; they are never written out
+    lines = out.splitlines()
+    clock = next(i for i, line in enumerate(lines) if line.startswith("wall clock:"))
+    assert [line.split(":")[0].strip() for line in lines[clock + 1:]] == [
+        "walk", "conditions", "index estimate", "bound", "replicate", "qq", "emit"]
+    assert "walk" not in (tmp_path / "out" / "report.json").read_text()
     assert (tmp_path / "out" / "qq.svg").exists()
     assert (tmp_path / "out" / "qq.csv").exists()
 

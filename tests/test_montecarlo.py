@@ -12,7 +12,7 @@ from contamclt import montecarlo
 from contamclt.analytic import kolmogorov_distance_to_normal, normal_quantile
 from contamclt.model import ContaminationScheme, StdNormal
 from contamclt.montecarlo import default_t_grid, qq_points, replicate
-from contamclt.rng import stream_generator
+from stream_oracle import oracle_generator
 
 NORMAL = StdNormal()
 UNCONTAMINATED = ContaminationScheme.uncontaminated()
@@ -22,7 +22,7 @@ CASE3 = ContaminationScheme.power_law(0.1, 1.0, 4.0, 1.0)
 def test_single_observation_statistic_is_centered_draw():
     # s_1 = 1, so the statistic equals X_1 - mu exactly
     stat = replicate(1, 1, UNCONTAMINATED, NORMAL, 5.0, 17).samples[0]
-    manual = stream_generator(17, 0)
+    manual = oracle_generator(17, 0)
     manual.random(1)
     z = NORMAL.draw(manual, 1)[0]
     assert stat == z
