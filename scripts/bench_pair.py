@@ -46,10 +46,13 @@ def run_side(root: str, workload: str, seed: int, seconds: float) -> dict:
     return {"machine": machine, "result": json.loads(lines[-1])}
 
 
+def value(pair: dict, side: str, name: str) -> float:
+    return pair[side]["result"]["metrics"][name]["value"]
+
+
 def summary(pairs: list[dict]) -> tuple[dict, dict]:
     """Per side, the median of each metric; per metric, pairs the checkout won."""
     names = pairs[0]["base"]["result"]["metrics"]
-    value = lambda pair, side, name: pair[side]["result"]["metrics"][name]["value"]  # noqa: E731
     medians = {side: {name: statistics.median(value(p, side, name) for p in pairs)
                       for name in names} for side in ("base", "change")}
     wins = {name: sum(value(p, "change", name) < value(p, "base", name) for p in pairs)
@@ -92,8 +95,7 @@ def main(argv=None) -> int:
                                       args.workload, seed, args.seconds)
             pairs.append(pair)
             print(f"{args.workload}: pair {number + 1}/{args.pairs}: " + ", ".join(
-                f"{name} {pair['base']['result']['metrics'][name]['value']:.4g}"
-                f" -> {pair['change']['result']['metrics'][name]['value']:.4g}"
+                f"{name} {value(pair, 'base', name):.4g} -> {value(pair, 'change', name):.4g}"
                 for name in pair["base"]["result"]["metrics"]), flush=True)
 
     medians, wins = summary(pairs)
