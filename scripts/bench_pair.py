@@ -1,6 +1,6 @@
 """Benchmark a base revision against this checkout and keep the record on disk.
 
-    python3 scripts/bench_pair.py --label pr7 --base HEAD~1 --workload many_short --pairs 5
+    python3 scripts/bench_pair.py --label streams --base HEAD~1 --workload many_short --pairs 5
 
 Extracts ``--base`` with ``git archive`` into a temporary directory, then runs
 each side's own ``perfbench/run.py --workload W --trace 0`` in pairs: the
