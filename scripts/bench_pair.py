@@ -1,16 +1,22 @@
 """Benchmark a base revision against this checkout and keep the record on disk.
 
-    python3 scripts/bench_pair.py --label streams --base HEAD~1 --workload many_short --pairs 5
+    python3 scripts/bench_pair.py --label streams --base HEAD~1 --workload many_short
 
 Extracts ``--base`` with ``git archive`` into a temporary directory, then runs
 each side's own ``perfbench/run.py --workload W --trace 0`` in pairs: the
-same seed (``--seed`` + pair number) and ``--seconds`` on both sides, the
-base first in even pairs and the checkout first in odd ones.  It writes
-``BENCH_<label>.json`` at the repository root: per workload, every run's
-``machine:`` line and result JSON, each side's median of every metric, and
-how many pairs the checkout won per metric (lower is better for all of
-them).  Other workloads already in the file are kept, so one file collects
-several invocations.
+command and ``--seconds`` come from ``BENCHMARK.json``, both sides of a pair
+get the same seed, and the side that goes first alternates.  A run that is
+not ``correct``, or that fails more operations than its base, stops the
+script before anything is written.
+
+``BENCH_<label>.json`` at the repository root names the base and the change
+commit.  Per workload it holds every run's ``machine:`` line and result JSON,
+each side's median of every metric, and how many pairs the change won per
+metric (lower is better for all of them).  A later invocation with the same
+label adds its workload, or its pairs to a workload already there, and
+refuses to write into a file that names other revisions.  The change side
+must be committed: tracked files other than ``BENCH_*.json`` may not have
+uncommitted edits.
 """
 
 from __future__ import annotations
@@ -31,13 +37,12 @@ def git(*args: str) -> str:
                           text=True).stdout.strip()
 
 
-def run_side(root: str, workload: str, seed: int, seconds: float) -> dict:
-    """One ``perfbench/run.py --trace 0`` run of the tree at ``root``."""
+def run_side(root: str, command: list, workload: str, seed: int, seconds: float) -> dict:
+    """One ``--trace 0`` benchmark run of the tree at ``root``."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     proc = subprocess.run(
-        [sys.executable, os.path.join(root, "perfbench", "run.py"), "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
-        cwd=root, env=env, capture_output=True, text=True)
+        [*command, "--workload", workload, "--seed", str(seed), "--seconds", str(seconds),
+         "--trace", "0"], cwd=root, env=env, capture_output=True, text=True)
     lines = proc.stdout.splitlines()
     if proc.returncode != 0 or not lines:
         raise RuntimeError(f"perfbench in {root} failed ({proc.returncode}):\n{proc.stderr}")
@@ -46,12 +51,20 @@ def run_side(root: str, workload: str, seed: int, seconds: float) -> dict:
     return {"machine": machine, "result": json.loads(lines[-1])}
 
 
+def check_pair(pair: dict) -> None:
+    base, change = pair["base"]["result"], pair["change"]["result"]
+    if not (base["correct"] and change["correct"]) or change["failed"] > base["failed"]:
+        raise RuntimeError(f"seed {pair['seed']}: base failed {base['failed']} of "
+                           f"{base['attempted']}, change failed {change['failed']} of "
+                           f"{change['attempted']}; no record written")
+
+
 def value(pair: dict, side: str, name: str) -> float:
     return pair[side]["result"]["metrics"][name]["value"]
 
 
 def summary(pairs: list[dict]) -> tuple[dict, dict]:
-    """Per side, the median of each metric; per metric, pairs the checkout won."""
+    """Per side, the median of each metric; per metric, pairs the change won."""
     names = pairs[0]["base"]["result"]["metrics"]
     medians = {side: {name: statistics.median(value(p, side, name) for p in pairs)
                       for name in names} for side in ("base", "change")}
@@ -65,48 +78,58 @@ def main(argv=None) -> int:
     parser.add_argument("--label", required=True, help="names the file BENCH_<label>.json")
     parser.add_argument("--base", required=True, help="git revision to compare against")
     parser.add_argument("--workload", required=True, help="a perfbench workload name")
-    parser.add_argument("--pairs", type=int, default=5)
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=25.0)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seed", type=int, default=1, help="seed of the file's first pair")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
 
-    base_sha = git("rev-parse", "--verify", args.base + "^{commit}")
-    change = git("rev-parse", "HEAD")
-    if git("status", "--porcelain", "--untracked-files=no"):
-        change += " with uncommitted edits"
+    if git("status", "--porcelain", "--untracked-files=no", "--", ".", ":!BENCH_*.json"):
+        parser.error("commit the change first: tracked files have uncommitted edits")
+    revisions = {"base": git("rev-parse", "--verify", args.base + "^{commit}"),
+                 "change": git("rev-parse", "HEAD")}
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as handle:
+        benchmark = json.load(handle)
     path = os.path.join(ROOT, f"BENCH_{args.label}.json")
-    record = {}
+    record = {"label": args.label, **revisions, "workloads": {}}
     if os.path.exists(path):
         with open(path) as handle:
             record = json.load(handle)
-    pairs = []
+        if {side: record[side] for side in revisions} != revisions:
+            parser.error(f"{path} records base {record['base']} and change "
+                         f"{record['change']}; use another label")
+    entry = record["workloads"].setdefault(args.workload, {
+        "run_seconds": benchmark["run_seconds"], "pairs": []})
+    if entry["run_seconds"] != benchmark["run_seconds"]:
+        parser.error(f"{path} ran {args.workload} for {entry['run_seconds']} s, "
+                     f"BENCHMARK.json now says {benchmark['run_seconds']} s")
+    pairs = entry["pairs"]
+
     with tempfile.TemporaryDirectory(prefix="bench-base-") as base_root:
-        archive = subprocess.run(["git", "-C", ROOT, "archive", base_sha], check=True,
-                                 capture_output=True).stdout
+        archive = subprocess.run(["git", "-C", ROOT, "archive", revisions["base"]],
+                                 check=True, capture_output=True).stdout
         subprocess.run(["tar", "-x", "-C", base_root], input=archive, check=True)
-        for number in range(args.pairs):
+        for number in range(len(pairs), len(pairs) + args.pairs):
             seed = args.seed + number
             order = ("base", "change") if number % 2 == 0 else ("change", "base")
             pair = {"seed": seed, "order": list(order)}
             for side in order:
                 pair[side] = run_side(base_root if side == "base" else ROOT,
-                                      args.workload, seed, args.seconds)
+                                      benchmark["command"], args.workload, seed,
+                                      entry["run_seconds"])
+            check_pair(pair)
             pairs.append(pair)
-            print(f"{args.workload}: pair {number + 1}/{args.pairs}: " + ", ".join(
+            print(f"{args.workload}: pair {number + 1}: " + ", ".join(
                 f"{name} {value(pair, 'base', name):.4g} -> {value(pair, 'change', name):.4g}"
                 for name in pair["base"]["result"]["metrics"]), flush=True)
 
-    medians, wins = summary(pairs)
-    record.update(label=args.label, base=base_sha, change=change)
-    record.setdefault("workloads", {})[args.workload] = {
-        "seconds": args.seconds, "pairs": pairs, "medians": medians, "change_wins": wins}
+    entry["medians"], entry["change_wins"] = summary(pairs)
     with open(path + ".part", "w") as handle:
         json.dump(record, handle, indent=1)
         handle.write("\n")
     os.replace(path + ".part", path)
-    print(json.dumps({"workload": args.workload, "medians": medians, "change_wins": wins}))
+    print(json.dumps({"workload": args.workload, "pairs": len(pairs),
+                      "medians": entry["medians"], "change_wins": entry["change_wins"]}))
     return 0
 
 

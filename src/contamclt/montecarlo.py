@@ -8,9 +8,9 @@ Replicate i always draws from stream i split from the master seed, and its
 sum is correctly rounded (``analytic.exact_sums``, bit for bit ``math.fsum``
 of the row), so a run is reproducible and independent of how replicates are
 scheduled across workers or stacked into reduction blocks.  The streams of
-one or more whole blocks are derived together by one ``rng.stream_generator``
-call, which re-seeds one generator per row; nothing per replicate outlives
-them.
+one or more whole blocks (``rng.stream_batch``) are derived together by one
+``rng.stream_generator`` call, which re-seeds one generator per row; nothing
+per replicate outlives them.
 """
 
 from __future__ import annotations
@@ -60,9 +60,6 @@ class ReplicationResult:
 # Replicate rows are stacked into blocks of at most this many elements (at
 # least one row) and each block is reduced by one ``exact_sums`` call.
 _BLOCK_ELEMS = 1 << 16
-# Streams are derived for whole blocks and at least this many rows at a
-# time: one derivation has a fixed cost of some 20 per-stream seedings.
-_MIN_STREAMS = 64
 
 
 def _replicate_chunk(args) -> np.ndarray:
@@ -70,7 +67,7 @@ def _replicate_chunk(args) -> np.ndarray:
     p, s2 = scheme.weights(n)
     sigma = np.sqrt(s2)
     step = max(1, _BLOCK_ELEMS // n)
-    batch = step * -(-_MIN_STREAMS // step)
+    batch = _rng.stream_batch(step)
     block = np.empty((min(step, hi - lo), n))
     out = np.empty(hi - lo, dtype=np.float64)
     for first in range(lo, hi, batch):

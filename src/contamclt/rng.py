@@ -4,9 +4,10 @@ Replicate i of a run draws from numpy's ``Generator(PCG64(z_i))``, z_i the
 SplitMix64 mix of (master_seed, i), so no schedule or blocking changes it.
 Seeding a numpy generator per replicate costs more than a short row's draws,
 so ``stream_generator`` reproduces numpy's ``SeedSequence`` hash and PCG64
-seeding for a whole block of streams at once, in numpy and Python ints, and
-re-seeds one generator per stream.  ``tests/test_rng.py`` checks the states
-against numpy's own seeding, so a numpy release that changes either fails.
+seeding for a whole batch of streams at once, in numpy and Python ints, and
+re-seeds one generator per stream; ``stream_batch`` sizes the batches.
+``tests/test_rng.py`` checks the states against numpy's own seeding, so a
+numpy release that changes either fails.
 """
 
 from __future__ import annotations
@@ -72,6 +73,13 @@ def _reseeded(states: list[tuple[int, int]]):
         gen.bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
                                    "state": {"state": state, "inc": inc}}
         yield gen
+
+
+def stream_batch(block_rows: int) -> int:
+    """Streams per ``stream_generator`` call for blocks of ``block_rows``
+    rows: whole blocks and at least 64 rows, since one derivation has a
+    fixed cost of some 20 per-stream seedings."""
+    return block_rows * -(-64 // block_rows)
 
 
 def stream_generator(master_seed: int, lo: int, hi: int):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from contamclt.analytic import array_stats
 from contamclt.model import ContaminationScheme, StdNormal
 from contamclt.montecarlo import replicate
-from contamclt.rng import stream_generator
+from contamclt.rng import stream_batch, stream_generator
 from stream_oracle import oracle_generator, split_seed
 
 EDGE_SEEDS = (0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1)
@@ -49,6 +49,10 @@ def test_stream_range_validation():
     with pytest.raises(ValueError):
         stream_generator(1, 5, 4)
     assert list(stream_generator(1, 5, 5)) == []
+
+
+def test_stream_batch_is_whole_blocks_of_at_least_64_rows():
+    assert [stream_batch(rows) for rows in (1, 10, 64, 65, 327)] == [64, 70, 64, 65, 327]
 
 
 @pytest.mark.parametrize("workers", [1, 2])
