@@ -3,8 +3,7 @@
 Covers the cumulative variance s_n^2, the three limit conditions that govern
 consistency and normality, Lindeberg sums and the Lindeberg index, the
 closed-form index bound L / (1 + L), the power-law regime classification,
-the Kolmogorov distance of a sample to the standard normal, and a standard
-normal quantile helper.
+and the Kolmogorov distance of a sample to the standard normal.
 
 Limits in n are approximated on a finite geometric grid.  A grid can only
 ever show a trend, so limit-valued quantities are reported together with the
@@ -23,7 +22,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtr, ndtri
+from scipy.special import ndtr
 
 from .model import BaseDistribution, ContaminationScheme
 
@@ -46,7 +45,6 @@ __all__ = [
     "Classification",
     "classify_power_law",
     "kolmogorov_distance_to_normal",
-    "normal_quantile",
     "DEFAULT_N_GRID",
     "DEFAULT_EPS_GRID",
 ]
@@ -120,7 +118,6 @@ class ArrayStats:
     n: int
     s2_n: float
     contamination_mass: float  # (1/n) * sum p_k sigma_k^2
-    mean_p: float              # (1/n) * sum p_k
     feller_max: float          # max_k p_k sigma_k^2 / s2_n
     max_sigma2: float          # max_k sigma_k^2
 
@@ -165,7 +162,7 @@ def grid_walk(scheme: ContaminationScheme, n_grid) -> GridWalk:
                    max(run[2], float(ps2[:m].max())), max(run[3], float(s2[:m].max())))
             if n in points:
                 s2_n = (float(n) - acc[0]) + acc[1]
-                stats.append(ArrayStats(n, s2_n, acc[1] / n, acc[0] / n, acc[2] / s2_n, acc[3]))
+                stats.append(ArrayStats(n, s2_n, acc[1] / n, acc[2] / s2_n, acc[3]))
         if full:
             run = acc
     return GridWalk(scheme, grid, tuple(stats), ps2_all, sigma, q)
@@ -209,33 +206,28 @@ class LimitEstimate:
     estimate: float | None
 
 
-def validate_geometric_grid(grid) -> tuple[int, ...]:
-    out = tuple(int(n) for n in grid)
-    if len(out) < 6:
-        raise ValueError(f"grid needs at least 6 points, got {len(out)}")
-    if out[0] < 1 or any(b <= a for a, b in zip(out, out[1:])):
-        raise ValueError("grid must be strictly increasing positive integers")
+def _geometric(out: tuple, min_points: int, what: str) -> tuple:
+    """``out`` if it has at least ``min_points`` strictly increasing positive
+    entries whose successive ratios all lie within 25% of their median."""
+    if len(out) < min_points:
+        raise ValueError(f"{what} needs at least {min_points} points, got {len(out)}")
+    if not (out[0] > 0 and all(b > a for a, b in zip(out, out[1:]))):  # nan fails
+        raise ValueError(f"{what} must be strictly increasing and positive")
     ratios = [b / a for a, b in zip(out, out[1:])]
     rbar = ratios[len(ratios) // 2]
     if any(abs(r - rbar) > 0.25 * rbar for r in ratios):
-        raise ValueError("grid must be (approximately) geometric")
+        raise ValueError(f"{what} must be (approximately) geometric")
     return out
 
 
+def validate_geometric_grid(grid) -> tuple[int, ...]:
+    return _geometric(tuple(int(n) for n in grid), 6, "n grid")
+
+
 def validate_eps_grid(grid) -> tuple[float, ...]:
-    out = tuple(float(e) for e in grid)
-    if len(out) < 8:
-        raise ValueError(f"epsilon grid needs at least 8 points, got {len(out)}")
-    if any(not (math.isfinite(e) and e > 0.0) for e in out):
-        raise ValueError("epsilon grid entries must be finite and positive")
-    if any(b <= a for a, b in zip(out, out[1:])):
-        raise ValueError("epsilon grid must be strictly increasing")
-    if out[-1] / out[0] < 10.0 ** 3.99:
-        raise ValueError("epsilon grid must span at least four decades")
-    ratios = [b / a for a, b in zip(out, out[1:])]
-    rbar = ratios[len(ratios) // 2]
-    if any(abs(r - rbar) > 0.25 * rbar for r in ratios):
-        raise ValueError("epsilon grid must be (approximately) logarithmic")
+    out = _geometric(tuple(float(e) for e in grid), 8, "epsilon grid")
+    if not (math.isfinite(out[-1]) and out[-1] / out[0] >= 10.0 ** 3.99):
+        raise ValueError("epsilon grid must be finite and span at least four decades")
     return out
 
 
@@ -358,8 +350,6 @@ def _row_limit_surrogate(col: tuple[float, ...]) -> tuple[float, bool]:
     epsilon at which the grid has not yet reached the limiting regime.
     """
     vmax = max(col)
-    if vmax < 1e-9:
-        return vmax, True
     if vmax - min(col) <= 1e-3:
         return vmax, True
     diffs = [b - a for a, b in zip(col, col[1:])]
@@ -415,7 +405,7 @@ def lindeberg_upper_bound(scheme: ContaminationScheme, n_grid=DEFAULT_N_GRID, wa
     """
     stats = _walked(scheme, n_grid, walk).stats
     best = max(0.0, *(s.contamination_mass * s.n / s.s2_n for s in stats[len(stats) // 2:]))
-    return min(max(best, 0.0), 1.0)
+    return min(best, 1.0)
 
 
 def closed_form_index(L: float) -> float:
@@ -468,7 +458,7 @@ def classify_power_law(p: float, a: float, s2: float, b: float) -> Classificatio
 
 
 # ---------------------------------------------------------------------------
-# Kolmogorov distance and normal helpers
+# Kolmogorov distance
 # ---------------------------------------------------------------------------
 
 def kolmogorov_distance_to_normal(samples) -> float:
@@ -491,11 +481,3 @@ def kolmogorov_distance_to_normal(samples) -> float:
     d_minus = float(np.max(c - (levels - 1.0 / r)))
     return min(max(d_plus, d_minus, 0.0), 1.0)
 
-
-def normal_quantile(t):
-    """Standard normal quantile; defined strictly inside (0, 1)."""
-    arr = np.asarray(t, dtype=np.float64)
-    if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0) or np.any(arr >= 1.0):
-        raise ValueError(f"quantile argument must lie strictly in (0, 1), got {t!r}")
-    out = ndtri(arr)
-    return float(out) if arr.ndim == 0 else out

@@ -4,7 +4,8 @@ Settings come from three layers with increasing precedence: built-in
 defaults, a flat key-value config file (``--config``), and command-line
 flags.  ``SETTINGS`` is the one schema for all of them: each key is both a
 config-file key and a flag, and its string value from either layer goes
-through the same converter.  Exit codes: 0 success, 2 validation error,
+through the same converter.  Keys other than the scheme's are the names of
+``ExperimentConfig`` fields.  Exit codes: 0 success, 2 validation error,
 3 I/O error, 4 internal numeric failure.
 """
 
@@ -15,10 +16,12 @@ import os
 import sys
 
 from .experiment import (
+    FORMATS,
     ConfigError,
     ExperimentConfig,
     load_tabular_scheme,
     run_experiment,
+    utf8_lines,
 )
 from .model import _DISTRIBUTIONS, ContaminationScheme, SchemeKind
 
@@ -67,14 +70,11 @@ SETTINGS = {
     "seed": (int, "master seed, an unsigned 64-bit integer"),
     "workers": (int, "parallel workers for replication (never changes results)"),
     "out": (str, "output directory"),
-    "formats": (_list(str.strip), "comma-separated subset of csv,svg,json"),
+    "formats": (_list(str.strip), "comma-separated subset of " + ",".join(FORMATS)),
     "n_grid": (_list(int), "comma-separated geometric grid of sample sizes"),
     "eps_grid": (_list(float), "comma-separated logarithmic epsilon grid"),
     "force": (_parse_bool, "allow overwriting existing output files"),
 }
-
-# setting keys whose ExperimentConfig field has another name
-_FIELDS = {"out": "out_dir", "tabular": "tabular_path"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -100,19 +100,11 @@ def build_parser() -> argparse.ArgumentParser:
 def read_config_file(path: str) -> dict:
     """Parse ``key = value`` lines; '#' starts a comment, blank lines skipped."""
     settings: dict = {}
-    try:
-        with open(path, encoding="utf-8") as handle:
-            lines = handle.readlines()
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(utf8_lines(path), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" in line:
-            key, _, value = line.partition("=")
-        else:
-            key, _, value = line.partition(" ")
+        key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
         if key not in SETTINGS or not value:
             raise ConfigError(f"{path}:{lineno}: unknown or malformed setting {raw.strip()!r}")
@@ -129,13 +121,13 @@ def _convert(key: str, text: str):
 
 def config_from_settings(settings: dict) -> ExperimentConfig:
     """An unvalidated config from string settings keyed as in ``SETTINGS``."""
-    values = {_FIELDS.get(key, key): _convert(key, text) for key, text in settings.items()}
+    values = {key: _convert(key, text) for key, text in settings.items()}
     kind = SchemeKind(values.pop("scheme", SchemeKind.POWER_LAW.value))
     power = {key: values.pop(key) for key in ("p", "a", "s2", "b") if key in values}
     if kind is SchemeKind.TABULAR:
-        if not values.get("tabular_path"):
+        if not values.get("tabular"):
             raise ConfigError("scheme 'tabular' needs a tabular CSV path")
-        scheme = load_tabular_scheme(values["tabular_path"])
+        scheme = load_tabular_scheme(values["tabular"])
     elif kind is SchemeKind.UNCONTAMINATED:
         scheme = ContaminationScheme.uncontaminated()
     else:
@@ -176,7 +168,7 @@ def main(argv=None) -> int:
     for trend_name, est in report.conditions.items():
         print(f"condition {trend_name}:          {est.trend.value}")
     if report.config.formats:
-        print(f"outputs:              {report.config.out_dir} "
+        print(f"outputs:              {report.config.out} "
               f"({', '.join(report.config.formats)})")
     stages = report.stage_seconds
     print(f"wall clock:           {sum(stages.values()) - stages.get('emit', 0.0):.2f} s")

@@ -78,11 +78,11 @@ class ExperimentConfig:
     seed: int = DEFAULT_SEED
     n_grid: tuple[int, ...] = DEFAULT_N_GRID
     eps_grid: tuple[float, ...] = DEFAULT_EPS_GRID
-    out_dir: str = field(default="out", compare=False)
+    out: str = field(default="out", compare=False)
     formats: tuple[str, ...] = field(default=FORMATS, compare=False)
     workers: int = field(default=1, compare=False)
     force: bool = field(default=False, compare=False)
-    tabular_path: str | None = field(default=None, compare=False)
+    tabular: str | None = field(default=None, compare=False)
 
     def validated(self) -> "ExperimentConfig":
         try:
@@ -158,8 +158,8 @@ class ExperimentReport:
         elif cfg.scheme.kind is SchemeKind.TABULAR:
             scheme.update(p_k=list(cfg.scheme.p_table),
                           sigma2_k=list(cfg.scheme.sigma2_table))
-            if cfg.tabular_path is not None:
-                scheme["source"] = cfg.tabular_path
+            if cfg.tabular is not None:
+                scheme["source"] = cfg.tabular
         echo = {"scheme": scheme}
         for name in _ECHOED:
             value = getattr(cfg, name)
@@ -193,27 +193,33 @@ class ExperimentReport:
         }
 
 
-def load_tabular_scheme(path: str) -> ContaminationScheme:
-    """Read a two-column CSV ``p_k,sigma2_k`` (with header) into a scheme."""
+def utf8_lines(path: str):
+    """The lines of a UTF-8 text file, read lazily with their endings as
+    written; a decode error becomes a ConfigError naming the file."""
     try:
         with open(path, newline="", encoding="utf-8") as handle:
-            reader = csv.reader(handle)
-            header = next(reader, None)
-            if header is None or [h.strip() for h in header[:2]] != ["p_k", "sigma2_k"]:
-                raise ConfigError(
-                    f"{path}: expected header 'p_k,sigma2_k', got {header!r}"
-                )
-            p_col, s_col = [], []
-            for lineno, row in enumerate(reader, start=2):
-                if not row or all(not cell.strip() for cell in row):
-                    continue
-                try:
-                    p_col.append(float(row[0]))
-                    s_col.append(float(row[1]))
-                except (IndexError, ValueError):
-                    raise ConfigError(f"{path}:{lineno}: malformed row {row!r}") from None
+            yield from handle
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
+def load_tabular_scheme(path: str) -> ContaminationScheme:
+    """Read a two-column CSV ``p_k,sigma2_k`` (with header) into a scheme."""
+    reader = csv.reader(utf8_lines(path))
+    header = next(reader, None)
+    if header is None or [h.strip() for h in header[:2]] != ["p_k", "sigma2_k"]:
+        raise ConfigError(
+            f"{path}: expected header 'p_k,sigma2_k', got {header!r}"
+        )
+    p_col, s_col = [], []
+    for lineno, row in enumerate(reader, start=2):
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        try:
+            p_col.append(float(row[0]))
+            s_col.append(float(row[1]))
+        except (IndexError, ValueError):
+            raise ConfigError(f"{path}:{lineno}: malformed row {row!r}") from None
     try:
         return ContaminationScheme.tabular(p_col, s_col)
     except ValueError as exc:
@@ -286,13 +292,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
 
 def _output_targets(config: ExperimentConfig) -> dict:
     names = {"csv": "qq.csv", "svg": "qq.svg", "json": "report.json"}
-    return {fmt: os.path.join(config.out_dir, names[fmt]) for fmt in config.formats}
+    return {fmt: os.path.join(config.out, names[fmt]) for fmt in config.formats}
 
 
 def _check_targets(config: ExperimentConfig, targets: dict) -> None:
     if not targets:
         return
-    os.makedirs(config.out_dir, exist_ok=True)
+    os.makedirs(config.out, exist_ok=True)
     if not config.force:
         existing = [p for p in targets.values() if os.path.exists(p)]
         if existing:

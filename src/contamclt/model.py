@@ -3,9 +3,9 @@
 An observation at index k is drawn from a two-component mixture: with
 probability 1 - p_k from the base distribution F (shifted by mu), with
 probability p_k from the same shape scaled by sigma_k >= 1.  Schemes supply
-the per-index pairs (p_k, sigma_k^2); base distributions supply draws, the
-density, and the closed-form truncated second moment E[X^2; |X| >= t] needed
-by the Lindeberg diagnostics.
+the per-index pairs (p_k, sigma_k^2); base distributions supply draws and the
+closed-form truncated second moment E[X^2; |X| >= t] needed by the Lindeberg
+diagnostics.
 
 All base distributions here have mean 0 and variance 1.
 """
@@ -120,19 +120,16 @@ class ContaminationScheme:
 class BaseDistribution:
     """A zero-mean, unit-variance distribution used as the mixture shape.
 
-    Subclasses provide draws, the density, and the truncated second moment
-    in closed form (``_tail_moment``).  ``zero_from`` is a threshold from
-    which the moment is exactly +0.0 in float64, not a subnormal; there the
-    closed form may overflow, so +0.0 is written in its place.
+    Subclasses provide draws and the truncated second moment in closed form
+    (``_tail_moment``).  ``zero_from`` is a threshold from which the moment
+    is exactly +0.0 in float64, not a subnormal; there the closed form may
+    overflow, so +0.0 is written in its place.
     """
 
     kind: str = "generic"
     zero_from: float = math.inf
 
-    def draw(self, rng: np.random.Generator, size: int | None = None):
-        raise NotImplementedError
-
-    def pdf(self, x):
+    def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
         raise NotImplementedError
 
     def truncated_second_moment(self, t, out=None):
@@ -162,12 +159,8 @@ class StdNormal(BaseDistribution):
     kind = "normal"
     zero_from = 40.0  # exp(-t^2/2) and erfc(t/sqrt(2)) both underflow to 0.0
 
-    def draw(self, rng, size=None):
-        return rng.standard_normal() if size is None else rng.standard_normal(size)
-
-    def pdf(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        return _INV_SQRT_2PI * np.exp(-0.5 * x * x)
+    def draw(self, rng, size):
+        return rng.standard_normal(size)
 
     def _tail_moment(self, t, out):
         # E[X^2; |X| >= t] = 2*(t*phi(t) + 1 - Phi(t)) by one integration by parts
@@ -187,12 +180,8 @@ class StdUniform(BaseDistribution):
     kind = "uniform"
     zero_from = _SQRT3  # the support ends there
 
-    def draw(self, rng, size=None):
+    def draw(self, rng, size):
         return rng.uniform(-_SQRT3, _SQRT3, size)
-
-    def pdf(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        return np.where(np.abs(x) <= _SQRT3, 1.0 / (2.0 * _SQRT3), 0.0)
 
     def _tail_moment(self, t, out):
         # exact polynomial tail: 1 - t^3 / (3*sqrt(3)) inside the support
@@ -206,12 +195,8 @@ class StdLaplace(BaseDistribution):
     scale = 1.0 / _SQRT2
     zero_from = 530.0  # exp(-sqrt(2) t) underflows to 0.0
 
-    def draw(self, rng, size=None):
+    def draw(self, rng, size):
         return rng.laplace(0.0, self.scale, size)
-
-    def pdf(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        return np.exp(-np.abs(x) / self.scale) / (2.0 * self.scale)
 
     def _tail_moment(self, t, out):
         # exact exponential tail: exp(-sqrt(2) t) * (t^2 + sqrt(2) t + 1)

@@ -21,10 +21,10 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import ndtri
 
 from . import rng as _rng
-from .analytic import (array_stats, exact_sums, kolmogorov_distance_to_normal,
-                       normal_quantile)
+from .analytic import array_stats, exact_sums, kolmogorov_distance_to_normal
 from .model import BaseDistribution, ContaminationScheme, draw_centered_row
 
 __all__ = [
@@ -129,4 +129,4 @@ def qq_points(samples, t_grid) -> tuple[QQPoint, ...]:
     levels = np.arange(1, xs.size + 1) / xs.size
     emp = xs[np.searchsorted(levels, arr)]
     return tuple(QQPoint(float(t), float(q), float(e))
-                 for t, q, e in zip(arr, normal_quantile(arr), emp))
+                 for t, q, e in zip(arr, ndtri(arr), emp))

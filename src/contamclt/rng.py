@@ -12,6 +12,8 @@ numpy release that changes either fails.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 _U32, _U64 = np.uint32, np.uint64
@@ -42,7 +44,7 @@ def _hash(values: np.ndarray, constants: np.ndarray) -> np.ndarray:
 def _pcg64_states(master_seed: int, lo: int, hi: int) -> list[tuple[int, int]]:
     """PCG64 (state, inc) of streams lo..hi-1, as numpy seeds them from z_i."""
     z = np.arange(lo + 1, hi + 1, dtype=_U64) * _U64(0x9E3779B97F4A7C15)
-    z += _U64(int(master_seed) & 0xFFFFFFFFFFFFFFFF)
+    z += _U64(int(master_seed))
     z = (z ^ (z >> _U64(30))) * _U64(0xBF58476D1CE4E5B9)
     z = (z ^ (z >> _U64(27))) * _U64(0x94D049BB133111EB)
     z ^= z >> _U64(31)
@@ -89,6 +91,8 @@ def stream_generator(master_seed: int, lo: int, hi: int):
     generator object, re-seeded to each stream in turn, so each yielded
     generator is valid only until the next one is taken.
     """
+    if not (isinstance(master_seed, numbers.Integral) and 0 <= master_seed < 1 << 64):
+        raise ValueError(f"master seed must be an integer in [0, 2**64), got {master_seed!r}")
     if lo < 0 or hi < lo:
         raise ValueError(f"stream range must satisfy 0 <= lo <= hi, got [{lo}, {hi})")
     return _reseeded(_pcg64_states(master_seed, lo, hi))

@@ -28,6 +28,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.stats import norm
 
 from contamclt.analytic import (
     array_stats,
@@ -250,7 +251,7 @@ def test_criterion_4_oracle_agreement():
     # closed form vs independent quadrature on t = 0.0 .. 5.0
     worst = 0.0
     for t in np.arange(0.0, 5.0 + 1e-9, 0.1):
-        expected = 2.0 * quad(lambda x: x * x * NORMAL.pdf(x), t, np.inf,
+        expected = 2.0 * quad(lambda x: x * x * norm.pdf(x), t, np.inf,
                               epsabs=1e-12, epsrel=1e-12)[0]
         worst = max(worst, abs(NORMAL.truncated_second_moment(float(t)) - expected))
     if worst > 1e-8:

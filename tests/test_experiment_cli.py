@@ -129,7 +129,7 @@ def test_emitters_refuse_overwrite(small_report, tmp_path):
 
 def test_run_experiment_writes_all_formats(tmp_path):
     cfg = fast_config(reps=60, formats=("csv", "svg", "json"),
-                      out_dir=str(tmp_path / "out"))
+                      out=str(tmp_path / "out"))
     run_experiment(cfg)
     for name in ("qq.csv", "qq.svg", "report.json"):
         assert (tmp_path / "out" / name).exists()
@@ -137,8 +137,8 @@ def test_run_experiment_writes_all_formats(tmp_path):
 
 def test_rerun_byte_identical(tmp_path):
     out1, out2 = tmp_path / "r1", tmp_path / "r2"
-    cfg1 = fast_config(reps=60, formats=("csv", "json"), out_dir=str(out1))
-    cfg2 = fast_config(reps=60, formats=("csv", "json"), out_dir=str(out2))
+    cfg1 = fast_config(reps=60, formats=("csv", "json"), out=str(out1))
+    cfg2 = fast_config(reps=60, formats=("csv", "json"), out=str(out2))
     run_experiment(cfg1)
     run_experiment(cfg2)
     assert (out1 / "qq.csv").read_bytes() == (out2 / "qq.csv").read_bytes()
@@ -149,7 +149,7 @@ def test_run_experiment_fails_fast_on_collision(tmp_path):
     out = tmp_path / "out"
     out.mkdir()
     (out / "report.json").write_text("{}")
-    cfg = fast_config(reps=60, formats=("json",), out_dir=str(out))
+    cfg = fast_config(reps=60, formats=("json",), out=str(out))
     with pytest.raises(FileExistsError):
         run_experiment(cfg)
     # the stale file is untouched
@@ -274,6 +274,14 @@ def test_cli_unknown_config_key(tmp_path, capsys):
     assert main(["--config", str(cfg)]) == EXIT_VALIDATION
 
 
+def test_cli_config_line_without_equals_sign(tmp_path, capsys):
+    # every config line is `key = value`; a space-separated pair is an error
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("scheme = none\nn 1000\n")
+    assert main(["--config", str(cfg)]) == EXIT_VALIDATION
+    assert f"{cfg}:2:" in capsys.readouterr().err
+
+
 def test_cli_refuses_overwrite_then_force(tmp_path, capsys):
     args = ["--scheme", "none", "--n", "50", "--reps", "20",
             "--out", str(tmp_path / "out"), "--workers", "1", *_grid_args()]
@@ -336,8 +344,7 @@ SAMPLE_VALUES = {
 }
 BASE_LINES = "scheme = powerlaw\np = 0.1\na = 1\ns2 = 4\nb = 1\nworkers = 1\n"
 # the ExperimentConfig field each setting lands in, where the names differ
-FIELD_OF = {"p": "scheme", "a": "scheme", "s2": "scheme", "b": "scheme",
-            "out": "out_dir", "tabular": "tabular_path"}
+FIELD_OF = {"p": "scheme", "a": "scheme", "s2": "scheme", "b": "scheme"}
 
 
 class _Captured(Exception):

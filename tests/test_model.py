@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
@@ -18,6 +19,13 @@ from contamclt.model import (
 )
 
 ALL_DISTS = [StdNormal(), StdUniform(), StdLaplace()]
+
+# the same laws from scipy.stats, independent of the library's code
+SCIPY_LAW = {
+    "normal": scipy.stats.norm(),
+    "uniform": scipy.stats.uniform(loc=-math.sqrt(3.0), scale=2.0 * math.sqrt(3.0)),
+    "laplace": scipy.stats.laplace(scale=1.0 / math.sqrt(2.0)),
+}
 
 # pinned via independent high-precision quadrature of x^2 phi(x) on [1, inf)
 T_NORMAL_AT_1 = 0.80125195690120080
@@ -117,12 +125,13 @@ def test_normal_truncated_moment_pinned_value():
 @pytest.mark.parametrize("dist", ALL_DISTS, ids=lambda d: d.kind)
 def test_truncated_moment_matches_quadrature_oracle(dist):
     # independent oracle: adaptive quadrature of x^2 pdf(x) outside [-t, t]
+    pdf = SCIPY_LAW[dist.kind].pdf
     for t in np.arange(0.0, 5.0 + 1e-9, 0.1):
         upper = np.inf if dist.kind != "uniform" else math.sqrt(3.0)
         if t >= upper:
             expected = 0.0
         else:
-            expected = 2.0 * quad(lambda x: x * x * dist.pdf(x), t, upper,
+            expected = 2.0 * quad(lambda x: x * x * pdf(x), t, upper,
                                   epsabs=1e-12, epsrel=1e-12)[0]
         assert dist.truncated_second_moment(float(t)) == pytest.approx(
             expected, abs=1e-8), f"{dist.kind} at t={t}"
@@ -168,12 +177,17 @@ def test_truncated_moment_out_argument(dist):
 
 
 @pytest.mark.parametrize("dist", ALL_DISTS, ids=lambda d: d.kind)
-def test_mean_zero_variance_one_by_quadrature(dist):
-    upper = math.sqrt(3.0) if dist.kind == "uniform" else np.inf
-    mean = quad(lambda x: x * dist.pdf(x), -upper, upper, epsabs=1e-12)[0]
-    var = quad(lambda x: x * x * dist.pdf(x), -upper, upper, epsabs=1e-12)[0]
-    assert mean == pytest.approx(0.0, abs=1e-8)
-    assert var == pytest.approx(1.0, abs=1e-8)
+def test_draws_follow_the_standardized_law(dist):
+    law = SCIPY_LAW[dist.kind]
+    assert law.mean() == pytest.approx(0.0, abs=1e-15)
+    assert law.var() == pytest.approx(1.0, rel=1e-15)
+    # DKW-Massart at alpha = 0.01: the KS distance of R draws exceeds
+    # sqrt(ln(2/alpha) / 2R) with probability at most alpha; a wrong scale
+    # (say uniform on [-1, 1]) is off by about 0.2
+    R, alpha = 20_000, 0.01
+    draws = dist.draw(np.random.default_rng(20261018), R)
+    ks = scipy.stats.kstest(draws, law.cdf).statistic
+    assert ks <= math.sqrt(math.log(2.0 / alpha) / (2.0 * R))
 
 
 def test_base_distribution_registry():

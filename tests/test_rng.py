@@ -51,6 +51,24 @@ def test_stream_range_validation():
     assert list(stream_generator(1, 5, 5)) == []
 
 
+BAD_SEEDS = (-1, 2 ** 64, 1.5)
+
+
+@pytest.mark.parametrize("seed", BAD_SEEDS)
+def test_stream_generator_rejects_seeds_outside_uint64(seed):
+    # masking them would alias -1 to 2**64 - 1, 2**64 to 0 and 1.5 to 1
+    with pytest.raises(ValueError):
+        stream_generator(seed, 0, 1)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("seed", BAD_SEEDS)
+def test_replicate_rejects_seeds_outside_uint64(seed, workers):
+    with pytest.raises(ValueError):
+        replicate(4, 3, ContaminationScheme.uncontaminated(), StdNormal(), 0.0, seed,
+                  workers=workers)
+
+
 def test_stream_batch_is_whole_blocks_of_at_least_64_rows():
     assert [stream_batch(rows) for rows in (1, 10, 64, 65, 327)] == [64, 70, 64, 65, 327]
 
