@@ -30,6 +30,7 @@ from contamclt.analytic import (
     validate_geometric_grid,
 )
 from contamclt.model import ContaminationScheme, StdLaplace, StdNormal, StdUniform
+from contamclt.montecarlo import qq_points
 
 NORMAL = StdNormal()
 CASE3 = ContaminationScheme.power_law(0.1, 1.0, 4.0, 1.0)
@@ -433,3 +434,11 @@ def test_quantile_cdf_roundtrip():
     xs = np.linspace(-6.0, 6.0, 121)
     back = ndtri(ndtr(xs))
     assert np.max(np.abs(back - xs)) < 1e-8
+
+
+def test_normal_domain_errors():
+    # the program takes normal quantiles only through qq_points, which must
+    # refuse every level outside the open unit interval before ndtri sees it
+    for bad in (0.0, 1.0, -0.2, 1.4, math.nan):
+        with pytest.raises(ValueError):
+            qq_points([1.0, 2.0], [bad])
