@@ -2,7 +2,7 @@
 """Run all five shipped figure configs through the CLI.
 
 Usage: python scripts/run_figures.py [--force]
-Outputs land under out/fig1 ... out/fig5 next to the repo root.
+Outputs land under out/fig1 ... out/fig5 in the repo root, wherever it is run from.
 """
 
 import pathlib
@@ -16,7 +16,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 def run() -> int:
     force = "--force" in sys.argv[1:]
     for cfg in sorted((ROOT / "configs").glob("fig*.cfg")):
-        argv = ["--config", str(cfg)]
+        argv = ["--config", str(cfg), "--out", str(ROOT / "out" / cfg.stem)]
         if force:
             argv.append("--force")
         print(f"== {cfg.name}")

@@ -26,29 +26,6 @@ from scipy.special import ndtr
 
 from .model import BaseDistribution, ContaminationScheme
 
-__all__ = [
-    "ArrayStats",
-    "GridWalk",
-    "array_stats",
-    "grid_walk",
-    "exact_sums",
-    "Trend",
-    "LimitEstimate",
-    "condition_a",
-    "condition_b",
-    "condition_c",
-    "lindeberg_sum",
-    "lindeberg_index_estimate",
-    "lindeberg_upper_bound",
-    "closed_form_index",
-    "RegimeCase",
-    "Classification",
-    "classify_power_law",
-    "kolmogorov_distance_to_normal",
-    "DEFAULT_N_GRID",
-    "DEFAULT_EPS_GRID",
-]
-
 DEFAULT_N_GRID: tuple[int, ...] = tuple(1000 * 2 ** j for j in range(8))
 DEFAULT_EPS_GRID: tuple[float, ...] = tuple(float(e) for e in np.geomspace(1e-3, 10.0, 40))
 
@@ -299,6 +276,10 @@ def _lindeberg_values(walk: GridWalk, stats: ArrayStats, dist: BaseDistribution,
                       eps_list) -> list[float]:
     """Lindeberg sums of the standardized array at row stats.n for several epsilons.
 
+    A sum is the base term (threshold eps*s_n, weight sum(1 - p_k)) plus the
+    inflated term (thresholds eps*s_n/sigma_k, weights p_k sigma_k^2), over
+    s_n^2; it lies in [0, 1] and is nonincreasing in eps.
+
     Each row's tail moments fill one buffer block by block; one ``np.dot``
     over the whole row reduces it.  A block whose thresholds are all at least
     ``dist.zero_from`` is zero-filled; none exceeds the checked eps * s_n.
@@ -323,21 +304,6 @@ def _lindeberg_values(walk: GridWalk, stats: ArrayStats, dist: BaseDistribution,
         term_inflated = float(np.dot(walk.ps2[:n], row))
         out.append(min(max((term_base + term_inflated) / stats.s2_n, 0.0), 1.0))
     return out
-
-
-def lindeberg_sum(scheme: ContaminationScheme, dist: BaseDistribution,
-                  n: int, eps: float) -> float:
-    """Lindeberg sum of {(X_k - mu)/s_n} at level eps and row n.
-
-    Uses the exact two-term decomposition over the mixture: a base term with
-    threshold eps*s_n carrying weight sum(1 - p_k), and an inflated term with
-    per-index thresholds eps*s_n/sigma_k carrying weights p_k sigma_k^2, all
-    normalized by s_n^2.  Lies in [0, 1] and is nonincreasing in eps.
-    """
-    if not (isinstance(eps, (int, float)) and math.isfinite(eps) and eps > 0.0):
-        raise ValueError(f"eps must be finite and positive, got {eps!r}")
-    walk = grid_walk(scheme, (n,))
-    return _lindeberg_values(walk, walk.stats[0], dist, [float(eps)])[0]
 
 
 def _row_limit_surrogate(col: tuple[float, ...]) -> tuple[float, bool]:
@@ -408,13 +374,6 @@ def lindeberg_upper_bound(scheme: ContaminationScheme, n_grid=DEFAULT_N_GRID, wa
     return min(best, 1.0)
 
 
-def closed_form_index(L: float) -> float:
-    """Index value L / (1 + L) for a convergent contamination mass L >= 0."""
-    if not (isinstance(L, (int, float)) and math.isfinite(L) and L >= 0.0):
-        raise ValueError(f"L must be finite and >= 0, got {L!r}")
-    return L / (1.0 + L)
-
-
 # ---------------------------------------------------------------------------
 # Power-law regime classification
 # ---------------------------------------------------------------------------
@@ -453,7 +412,7 @@ def classify_power_law(p: float, a: float, s2: float, b: float) -> Classificatio
     if a > b:
         return Classification(RegimeCase.CASE2_AN, 0.0, L)
     if a == b:
-        return Classification(RegimeCase.CASE3_BOUNDED, closed_form_index(L), L)
+        return Classification(RegimeCase.CASE3_BOUNDED, L / (1.0 + L), L)
     return Classification(RegimeCase.UNCLASSIFIED, None, None)
 
 

@@ -37,18 +37,6 @@ from .analytic import (
 from .model import ContaminationScheme, SchemeKind, base_distribution
 from .montecarlo import QQPoint, default_t_grid, qq_points, replicate
 
-__all__ = [
-    "DEFAULT_SEED",
-    "ExperimentConfig",
-    "ExperimentReport",
-    "ConfigError",
-    "run_experiment",
-    "emit_csv",
-    "emit_svg",
-    "emit_json",
-    "load_tabular_scheme",
-]
-
 # Fixed default seed so fresh runs of the shipped configs reproduce each
 # other exactly.
 DEFAULT_SEED = 2718281828
@@ -141,7 +129,6 @@ class ExperimentReport:
     s_n: float
     qq: tuple[QQPoint, ...]
     assumptions: tuple[str, ...]
-    tool_version: str = __version__
     stage_seconds: dict = field(default_factory=dict, compare=False)
 
     def annotation_index(self) -> float:
@@ -172,7 +159,7 @@ class ExperimentReport:
                 "L": self.classification.L,
             }
         return {
-            "tool_version": self.tool_version,
+            "tool_version": __version__,
             "config": echo,
             "classification": classification,
             "conditions": {

@@ -18,17 +18,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = [
-    "SchemeKind",
-    "ContaminationScheme",
-    "BaseDistribution",
-    "StdNormal",
-    "StdUniform",
-    "StdLaplace",
-    "base_distribution",
-    "draw_centered_row",
-]
-
 _SQRT2 = math.sqrt(2.0)
 _SQRT3 = math.sqrt(3.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -206,10 +195,7 @@ class StdLaplace(BaseDistribution):
 
 
 _DISTRIBUTIONS: dict[str, BaseDistribution] = {
-    "normal": StdNormal(),
-    "uniform": StdUniform(),
-    "laplace": StdLaplace(),
-}
+    d.kind: d for d in (StdNormal(), StdUniform(), StdLaplace())}
 
 
 def base_distribution(kind: str) -> BaseDistribution:

@@ -27,14 +27,6 @@ from . import rng as _rng
 from .analytic import array_stats, exact_sums, kolmogorov_distance_to_normal
 from .model import BaseDistribution, ContaminationScheme, draw_centered_row
 
-__all__ = [
-    "QQPoint",
-    "ReplicationResult",
-    "replicate",
-    "qq_points",
-    "default_t_grid",
-]
-
 
 def default_t_grid() -> np.ndarray:
     """199 probability levels t = 0.005, 0.010, ..., 0.995."""
@@ -97,10 +89,10 @@ def replicate(R: int, n: int, scheme: ContaminationScheme, dist: BaseDistributio
         raise ValueError(f"worker count must be >= 1, got {workers}")
 
     s_n = math.sqrt(array_stats(scheme, n).s2_n)
-    if workers == 1:
+    pool_size = min(workers, R, os.cpu_count() or 1)
+    if pool_size == 1:
         samples = _replicate_chunk((scheme, dist, n, s_n, master_seed, 0, R))
     else:
-        pool_size = min(workers, R, os.cpu_count() or 1)
         step = -(-R // (4 * pool_size))
         tasks = [(scheme, dist, n, s_n, master_seed, lo, min(lo + step, R))
                  for lo in range(0, R, step)]

@@ -1,13 +1,14 @@
 """Cumulative statistics, limit conditions, Lindeberg diagnostics, KS."""
 
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
 import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import ndtr, ndtri
+from scipy.special import ndtri
 
 from contamclt import analytic
 from contamclt.analytic import (
@@ -17,20 +18,18 @@ from contamclt.analytic import (
     Trend,
     array_stats,
     classify_power_law,
-    closed_form_index,
     grid_walk,
     condition_a,
     condition_b,
     condition_c,
     kolmogorov_distance_to_normal,
     lindeberg_index_estimate,
-    lindeberg_sum,
     lindeberg_upper_bound,
     validate_eps_grid,
     validate_geometric_grid,
 )
 from contamclt.model import ContaminationScheme, StdLaplace, StdNormal, StdUniform
-from contamclt.montecarlo import qq_points
+from contamclt.montecarlo import default_t_grid, qq_points
 
 NORMAL = StdNormal()
 CASE3 = ContaminationScheme.power_law(0.1, 1.0, 4.0, 1.0)
@@ -191,7 +190,7 @@ def test_grid_validation():
         validate_eps_grid(np.geomspace(0.01, 10.0, 20))  # three decades
     with pytest.raises(ValueError):
         validate_eps_grid(np.geomspace(1e-3, 10.0, 5))  # too few
-    for bad in (math.nan, math.inf):
+    for bad in (math.nan, math.inf, 0.0, -1.0):
         with pytest.raises(ValueError):
             validate_eps_grid(DEFAULT_EPS_GRID[:-1] + (bad,))
         with pytest.raises(ValueError):
@@ -204,18 +203,25 @@ def test_grid_validation():
 # Lindeberg sums and index
 # ---------------------------------------------------------------------------
 
+def _lindeberg_row(scheme, dist, n, eps_list):
+    """The Lindeberg sums of row n as the index estimate evaluates them."""
+    walk = grid_walk(scheme, (n,))
+    return analytic._lindeberg_values(walk, walk.stats[0], dist, eps_list)
+
+
 def test_lindeberg_sum_uniform_vanishes_beyond_support():
     # threshold eps*s_n = sqrt(n) >= 2 exceeds the uniform support sqrt(3)
     s = ContaminationScheme.uncontaminated()
     for n in (4, 16, 100):
-        assert lindeberg_sum(s, StdUniform(), n, 1.0) == 0.0
+        assert _lindeberg_row(s, StdUniform(), n, [1.0]) == [0.0]
     # far past the Laplace cutoff too, where its closed form overflows to nan
-    assert lindeberg_sum(s, StdLaplace(), 1, 1e300) == 0.0
+    assert _lindeberg_row(s, StdLaplace(), 1, [1e300]) == [0.0]
 
 
 def test_lindeberg_sum_tends_to_one_for_tiny_eps():
     for scheme in (CASE3, ContaminationScheme.uncontaminated()):
-        assert lindeberg_sum(scheme, NORMAL, 50, 1e-9) == pytest.approx(1.0, abs=1e-9)
+        [v] = _lindeberg_row(scheme, NORMAL, 50, [1e-9])
+        assert v == pytest.approx(1.0, abs=1e-9)
 
 
 def test_lindeberg_sum_bounds_and_monotonicity():
@@ -223,18 +229,9 @@ def test_lindeberg_sum_bounds_and_monotonicity():
                ContaminationScheme.tabular([0.2] * 200, [5.0] * 200)]
     eps_grid = np.geomspace(1e-4, 20.0, 25)
     for scheme in schemes:
-        vals = [lindeberg_sum(scheme, NORMAL, 200, float(e)) for e in eps_grid]
+        vals = _lindeberg_row(scheme, NORMAL, 200, eps_grid.tolist())
         assert all(0.0 <= v <= 1.0 for v in vals)
         assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
-
-
-def test_lindeberg_sum_domain_errors():
-    with pytest.raises(ValueError):
-        lindeberg_sum(CASE3, NORMAL, 100, 0.0)
-    with pytest.raises(ValueError):
-        lindeberg_sum(CASE3, NORMAL, 100, -1.0)
-    with pytest.raises(ValueError):
-        lindeberg_sum(CASE3, NORMAL, 100, math.inf)
 
 
 def _row_at_once(scheme, dist, n, eps_list):
@@ -340,18 +337,8 @@ def test_condition_implication_ordering():
 
 
 # ---------------------------------------------------------------------------
-# closed-form index and classification
+# classification and its closed-form index
 # ---------------------------------------------------------------------------
-
-def test_closed_form_index_values():
-    assert closed_form_index(0.0) == 0.0
-    assert closed_form_index(0.4) == pytest.approx(2.0 / 7.0, abs=1e-15)
-    assert closed_form_index(1e6) > 0.999999
-    with pytest.raises(ValueError):
-        closed_form_index(-0.1)
-    with pytest.raises(ValueError):
-        closed_form_index(math.inf)
-
 
 def test_classification_cases():
     c1 = classify_power_law(0.5, 0.5, 25.0, 0.9)
@@ -365,7 +352,9 @@ def test_classification_cases():
     assert c3.case is RegimeCase.CASE3_BOUNDED
     assert c3.L == pytest.approx(0.4, abs=1e-15)
     assert c3.lindeberg_index == pytest.approx(2.0 / 7.0, abs=1e-15)
-    assert c3.lindeberg_index == closed_form_index(c3.L)
+
+    big = classify_power_law(0.5, 1.0, 2e6, 1.0)  # p * s2 = 1e6
+    assert big.case is RegimeCase.CASE3_BOUNDED and big.lindeberg_index > 0.999999
 
     u = classify_power_law(0.1, 0.5, 4.0, 1.5)
     assert u.case is RegimeCase.UNCLASSIFIED
@@ -424,16 +413,21 @@ def test_ks_permutation_invariant_and_bounded(samples, rand):
 
 
 def test_normal_cdf_quantile_basics():
-    assert ndtr(0.0) == 0.5
-    assert ndtri(0.5) == 0.0
-    assert ndtr(1.96) == pytest.approx(PHI_AT_196, abs=1e-12)
-    assert ndtri(PHI_AT_196) == pytest.approx(1.96, abs=1e-12)
+    # the normal quantile the program reports: the QQ points' theoretical column
+    grid = default_t_grid()
+    theoretical = [pt.theoretical for pt in qq_points([0.0, 1.0], grid)]
+    expected = [NormalDist().inv_cdf(t) for t in grid]
+    assert theoretical == pytest.approx(expected, abs=1e-14)
+    assert qq_points([0.0], [0.5])[0].theoretical == 0.0
 
 
 def test_quantile_cdf_roundtrip():
-    xs = np.linspace(-6.0, 6.0, 121)
-    back = ndtri(ndtr(xs))
-    assert np.max(np.abs(back - xs)) < 1e-8
+    # the normal CDF the program uses: the KS distance of one point x is
+    # max(Phi(x), 1 - Phi(x))
+    for x in np.linspace(-6.0, 6.0, 121).tolist():
+        phi = NormalDist().cdf(x)
+        assert kolmogorov_distance_to_normal([x]) == pytest.approx(max(phi, 1.0 - phi), abs=1e-14)
+    assert kolmogorov_distance_to_normal([1.96]) == pytest.approx(PHI_AT_196, abs=1e-15)
 
 
 def test_normal_domain_errors():

@@ -1,5 +1,6 @@
 """Experiment runner, emitters, config files, and CLI exit codes."""
 
+import importlib.util
 import json
 import re
 import xml.etree.ElementTree as ET
@@ -388,3 +389,20 @@ def test_readme_lists_the_settings_keys():
     section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
     listed = re.search(r"keys mirror the flags\s*\(`([^`]*)`\)", section).group(1)
     assert listed.split() == list(SETTINGS)
+
+
+def test_run_figures_writes_under_the_repo_root(tmp_path, monkeypatch):
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location("run_figures", root / "scripts" / "run_figures.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    calls = []
+    monkeypatch.setattr(script, "cli_main", lambda argv: calls.append(argv) or EXIT_OK)
+    monkeypatch.setattr("sys.argv", ["run_figures.py"])
+    monkeypatch.chdir(tmp_path)
+    assert script.run() == EXIT_OK
+    assert len(calls) == len(list((root / "configs").glob("fig*.cfg"))) > 0
+    for argv in calls:
+        out = Path(argv[argv.index("--out") + 1])
+        assert out.is_absolute() and out.parent == root / "out"
+        assert out.name == Path(argv[argv.index("--config") + 1]).stem

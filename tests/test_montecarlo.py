@@ -1,7 +1,6 @@
 """Replication and QQ point generation."""
 
 import math
-import os
 import warnings
 
 import numpy as np
@@ -68,10 +67,29 @@ def test_replicate_pool_is_capped_by_cpus_and_tasks(monkeypatch):
             return map(fn, tasks)
 
     monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
     many = replicate(40, 30, CASE3, NORMAL, 0.0, 5, workers=10 ** 6)
     one = replicate(40, 30, CASE3, NORMAL, 0.0, 5, workers=1)
-    assert len(sizes) == 1 and 1 <= sizes[0] <= min(os.cpu_count() or 1, 40)
+    assert sizes == [2]
     assert np.array_equal(many.samples.view(np.int64), one.samples.view(np.int64))
+
+
+def test_replicate_starts_no_pool_of_one(monkeypatch):
+    # one task, or one CPU, caps the pool at one process: the replicates then
+    # run in the caller instead of being pickled to a single child
+    single = replicate(1, 100, CASE3, NORMAL, 0.0, 5, workers=1)
+    forty = replicate(40, 30, CASE3, NORMAL, 0.0, 5, workers=1)
+
+    class NoPool:
+        def __init__(self, max_workers):
+            raise AssertionError(f"started a pool of {max_workers}")
+
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", NoPool)
+    runs = [(replicate(1, 100, CASE3, NORMAL, 0.0, 5, workers=2), single)]
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 1)
+    runs.append((replicate(40, 30, CASE3, NORMAL, 0.0, 5, workers=4), forty))
+    for run, want in runs:
+        assert np.array_equal(run.samples.view(np.int64), want.samples.view(np.int64))
 
 
 def test_replicate_splits_tasks_by_the_capped_pool(monkeypatch):
