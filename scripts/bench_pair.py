@@ -17,6 +17,11 @@ label adds its workload, or its pairs to a workload already there, and
 refuses to write into a file that names other revisions.  The change side
 must be committed: tracked files other than ``BENCH_*.json`` may not have
 uncommitted edits.
+
+Both sides inherit this script's environment, so it refuses to run while any
+``OPENBLAS_*``, ``GOTO_*`` or ``OMP_*`` variable is set: such a setting
+would override what either side's CLI chooses for its BLAS threads, hiding a
+change to that choice or moving the bits of the BLAS dot products.
 """
 
 from __future__ import annotations
@@ -81,6 +86,11 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=1, help="seed of the file's first pair")
     args = parser.parse_args(argv)
+    preset = sorted(name for name in os.environ
+                    if name.startswith(("OPENBLAS_", "GOTO_", "OMP_")))
+    if preset:
+        parser.error(f"unset {', '.join(preset)}: both sides inherit it, and it overrides "
+                     "the BLAS thread settings the benchmarked code chooses")
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
 

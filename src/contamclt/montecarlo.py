@@ -73,13 +73,21 @@ def _replicate_chunk(args) -> np.ndarray:
     return out
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on; under ``taskset`` or a cpuset that is
+    fewer than ``os.cpu_count()``, which counts the machine's."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def replicate(R: int, n: int, scheme: ContaminationScheme, dist: BaseDistribution,
               mu: float, master_seed: int, workers: int = 1) -> ReplicationResult:
     """R independent standardized statistics from per-replicate split streams.
 
     The result is a pure function of (R, n, scheme, dist, mu, master_seed);
     ``workers`` only distributes the replicate loop and never changes values.
-    The pool never holds more processes than there are tasks or CPUs.
+    The pool never holds more processes than there are tasks or usable CPUs.
     """
     if R < 1:
         raise ValueError(f"replication count must be >= 1, got {R}")
@@ -89,7 +97,7 @@ def replicate(R: int, n: int, scheme: ContaminationScheme, dist: BaseDistributio
         raise ValueError(f"worker count must be >= 1, got {workers}")
 
     s_n = math.sqrt(array_stats(scheme, n).s2_n)
-    pool_size = min(workers, R, os.cpu_count() or 1)
+    pool_size = min(workers, R, _usable_cpus())
     if pool_size == 1:
         samples = _replicate_chunk((scheme, dist, n, s_n, master_seed, 0, R))
     else:

@@ -283,6 +283,14 @@ def test_cli_config_line_without_equals_sign(tmp_path, capsys):
     assert f"{cfg}:2:" in capsys.readouterr().err
 
 
+def test_cli_config_key_given_twice(tmp_path, capsys):
+    # a repeated key is an error at the repeat, not a silent override
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("scheme = none\nn = 100\n# n = 5\n\nn = 200\n")
+    assert main(["--config", str(cfg)]) == EXIT_VALIDATION
+    assert f"{cfg}:5:" in capsys.readouterr().err
+
+
 def test_cli_refuses_overwrite_then_force(tmp_path, capsys):
     args = ["--scheme", "none", "--n", "50", "--reps", "20",
             "--out", str(tmp_path / "out"), "--workers", "1", *_grid_args()]
@@ -372,7 +380,9 @@ def test_config_file_line_and_flag_give_the_same_config(key, tmp_path, monkeypat
     base_cfg = tmp_path / "base.cfg"
     base_cfg.write_text(BASE_LINES)
     keyed_cfg = tmp_path / "keyed.cfg"
-    keyed_cfg.write_text(BASE_LINES + f"{key} = {value}\n")
+    # a key may appear once per file, so the keyed line replaces its base line
+    kept = [line for line in BASE_LINES.splitlines() if line.split(" = ")[0] != key]
+    keyed_cfg.write_text("\n".join(kept + [f"{key} = {value}"]) + "\n")
     flag = ["--force"] if key == "force" else ["--" + key.replace("_", "-"), value]
 
     base = _config_from_main(monkeypatch, ["--config", str(base_cfg)])
@@ -406,3 +416,20 @@ def test_run_figures_writes_under_the_repo_root(tmp_path, monkeypatch):
         out = Path(argv[argv.index("--out") + 1])
         assert out.is_absolute() and out.parent == root / "out"
         assert out.name == Path(argv[argv.index("--config") + 1]).stem
+
+
+def test_bench_pair_refuses_blas_thread_variables(monkeypatch, capsys):
+    # both benchmarked sides inherit the environment, so a BLAS thread
+    # setting there would override what each side's CLI chooses
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location("bench_pair", root / "scripts" / "bench_pair.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.setenv(name, "1")
+        # --pairs 0 is refused too, so a missing check cannot start a run
+        with pytest.raises(SystemExit) as stop:
+            script.main(["--label", "x", "--base", "HEAD", "--workload", "figures",
+                         "--pairs", "0"])
+        assert stop.value.code == 2 and name in capsys.readouterr().err
+        monkeypatch.delenv(name)

@@ -10,10 +10,20 @@ One known dependence is not the program's own: the ``fig3``/``fig4`` index
 estimates come from an ``np.dot`` in ``analytic._lindeberg_values`` whose
 last bits depend on the BLAS thread count (``OPENBLAS_NUM_THREADS=1``
 changes them), so this test can fail on those fields under a BLAS thread
-setting other than the one the committed outputs were made with.
+setting other than the one the committed outputs were made with.  The
+``OPENBLAS_THREAD_TIMEOUT`` that ``contamclt.cli`` sets only puts idle BLAS
+threads to sleep sooner; it leaves their count, and so these bits, alone.
+Those two configs also run as a fresh ``python -m contamclt.cli`` child,
+the way users run them, to check that setting where it acts: before numpy
+loads.
 """
 
+import os
 import pathlib
+import resource
+import subprocess
+import sys
+import time
 
 import pytest
 
@@ -29,3 +39,42 @@ def test_fresh_run_matches_committed_outputs(cfg, tmp_path):
     for name in ("qq.csv", "report.json"):
         committed = (ROOT / "out" / cfg.stem / name).read_bytes()
         assert (tmp_path / name).read_bytes() == committed, f"{cfg.stem}/{name} drifted"
+
+
+def _child_env(**extra) -> dict:
+    # this process imported contamclt.cli, which set the timeout here; the
+    # child must start without it, as a user's shell does
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_THREAD_TIMEOUT"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                      env.get("PYTHONPATH")]))
+    return {**env, **extra}
+
+
+def _cpu_of_children() -> float:
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_utime + usage.ru_stime
+
+
+@pytest.mark.parametrize("stem", ["fig3", "fig4"])
+def test_cli_process_matches_committed_outputs_on_one_core(stem, tmp_path):
+    # idle BLAS threads spinning after the index estimate's dot would add
+    # about three quarters of the wall time again as CPU time
+    cpu0, start = _cpu_of_children(), time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "contamclt.cli", "--config", str(ROOT / "configs" / f"{stem}.cfg"),
+         "--workers", "1", "--out", str(tmp_path)],
+        cwd=ROOT, env=_child_env(), capture_output=True, text=True)
+    wall, cpu = time.perf_counter() - start, _cpu_of_children() - cpu0
+    assert proc.returncode == EXIT_OK, proc.stderr
+    for name in ("qq.csv", "report.json"):
+        committed = (ROOT / "out" / stem / name).read_bytes()
+        assert (tmp_path / name).read_bytes() == committed, f"{stem}/{name} drifted"
+    assert cpu <= 1.2 * wall + 0.05, f"{cpu:.3f} s CPU in {wall:.3f} s wall"
+
+
+def test_cli_keeps_a_preset_thread_timeout():
+    code = "import os, contamclt.cli; print(os.environ['OPENBLAS_THREAD_TIMEOUT'])"
+    shown = [subprocess.run([sys.executable, "-c", code], env=_child_env(**extra),
+                            capture_output=True, text=True, check=True).stdout.strip()
+             for extra in ({}, {"OPENBLAS_THREAD_TIMEOUT": "30"})]
+    assert shown == ["4", "30"]

@@ -47,6 +47,13 @@ def test_replicate_worker_count_invariant():
     assert one.ks_statistic == eight.ks_statistic
 
 
+def _pin_cpus(monkeypatch, usable, machine=64):
+    """The process may run on ``usable`` of the machine's ``machine`` CPUs."""
+    monkeypatch.setattr(montecarlo.os, "sched_getaffinity",
+                        lambda pid: set(range(usable)), raising=False)
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: machine)
+
+
 def test_replicate_pool_is_capped_by_cpus_and_tasks(monkeypatch):
     # an in-process fake stands in for the pool, so no process is started: a
     # huge worker count must not become a huge pool, and the samples stay
@@ -67,7 +74,7 @@ def test_replicate_pool_is_capped_by_cpus_and_tasks(monkeypatch):
             return map(fn, tasks)
 
     monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", SerialPool)
-    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+    _pin_cpus(monkeypatch, 2)
     many = replicate(40, 30, CASE3, NORMAL, 0.0, 5, workers=10 ** 6)
     one = replicate(40, 30, CASE3, NORMAL, 0.0, 5, workers=1)
     assert sizes == [2]
@@ -76,7 +83,8 @@ def test_replicate_pool_is_capped_by_cpus_and_tasks(monkeypatch):
 
 def test_replicate_starts_no_pool_of_one(monkeypatch):
     # one task, or one CPU, caps the pool at one process: the replicates then
-    # run in the caller instead of being pickled to a single child
+    # run in the caller instead of being pickled to a single child.  Without
+    # an affinity call the CPU count is the machine's.
     single = replicate(1, 100, CASE3, NORMAL, 0.0, 5, workers=1)
     forty = replicate(40, 30, CASE3, NORMAL, 0.0, 5, workers=1)
 
@@ -86,10 +94,26 @@ def test_replicate_starts_no_pool_of_one(monkeypatch):
 
     monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", NoPool)
     runs = [(replicate(1, 100, CASE3, NORMAL, 0.0, 5, workers=2), single)]
+    monkeypatch.delattr(montecarlo.os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 1)
     runs.append((replicate(40, 30, CASE3, NORMAL, 0.0, 5, workers=4), forty))
     for run, want in runs:
         assert np.array_equal(run.samples.view(np.int64), want.samples.view(np.int64))
+
+
+def test_replicate_counts_the_cpus_it_may_use(monkeypatch):
+    # under taskset or a cpuset the process may use fewer CPUs than the
+    # machine has: one usable CPU of eight starts no pool
+    want = replicate(40, 30, CASE3, NORMAL, 0.0, 5, workers=1)
+
+    class NoPool:
+        def __init__(self, max_workers):
+            raise AssertionError(f"started a pool of {max_workers}")
+
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", NoPool)
+    _pin_cpus(monkeypatch, 1, machine=8)
+    run = replicate(40, 30, CASE3, NORMAL, 0.0, 5, workers=4)
+    assert np.array_equal(run.samples.view(np.int64), want.samples.view(np.int64))
 
 
 def test_replicate_splits_tasks_by_the_capped_pool(monkeypatch):
@@ -115,7 +139,7 @@ def test_replicate_splits_tasks_by_the_capped_pool(monkeypatch):
     stats_calls = []
     array_stats = montecarlo.array_stats
     monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", SerialPool)
-    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+    _pin_cpus(monkeypatch, 2)
     monkeypatch.setattr(montecarlo, "array_stats",
                         lambda *args: stats_calls.append(args) or array_stats(*args))
     runs = {w: replicate(400, 20, CASE3, NORMAL, 0.0, 5, workers=w) for w in (1, 2, 10 ** 6)}
