@@ -11,8 +11,10 @@ script before anything is written.
 
 ``BENCH_<label>.json`` at the repository root names the base and the change
 commit.  Per workload it holds every run's ``machine:`` line and result JSON,
-each side's median of every metric, and how many pairs the change won per
-metric (lower is better for all of them).  A later invocation with the same
+each side's median and first and third quartiles of every metric, and how
+many pairs the change won per metric (lower is better for all of them), so
+a claimed gain can be read off it: the pairs won, and the gap between the
+medians against the base's interquartile range.  A later invocation with the same
 label adds its workload, or its pairs to a workload already there, and
 refuses to write into a file that names other revisions.  The change side
 must be committed: tracked files other than ``BENCH_*.json`` may not have
@@ -68,14 +70,27 @@ def value(pair: dict, side: str, name: str) -> float:
     return pair[side]["result"]["metrics"][name]["value"]
 
 
-def summary(pairs: list[dict]) -> tuple[dict, dict]:
-    """Per side, the median of each metric; per metric, pairs the change won."""
+def quartiles(values: list) -> list:
+    """First and third quartile, interpolated between order statistics."""
+    if len(values) < 2:
+        return [values[0], values[0]]
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return [q1, q3]
+
+
+def summary(pairs: list[dict]) -> tuple[dict, dict, dict]:
+    """Per side, the median and the [first, third] quartiles of each metric;
+    per metric, the pairs the change won."""
     names = pairs[0]["base"]["result"]["metrics"]
-    medians = {side: {name: statistics.median(value(p, side, name) for p in pairs)
-                      for name in names} for side in ("base", "change")}
+    series = {side: {name: [value(p, side, name) for p in pairs] for name in names}
+              for side in ("base", "change")}
+    medians = {side: {name: statistics.median(v) for name, v in metrics.items()}
+               for side, metrics in series.items()}
+    spreads = {side: {name: quartiles(v) for name, v in metrics.items()}
+               for side, metrics in series.items()}
     wins = {name: sum(value(p, "change", name) < value(p, "base", name) for p in pairs)
             for name in names}
-    return medians, wins
+    return medians, spreads, wins
 
 
 def main(argv=None) -> int:
@@ -133,13 +148,14 @@ def main(argv=None) -> int:
                 f"{name} {value(pair, 'base', name):.4g} -> {value(pair, 'change', name):.4g}"
                 for name in pair["base"]["result"]["metrics"]), flush=True)
 
-    entry["medians"], entry["change_wins"] = summary(pairs)
+    entry["medians"], entry["quartiles"], entry["change_wins"] = summary(pairs)
     with open(path + ".part", "w") as handle:
         json.dump(record, handle, indent=1)
         handle.write("\n")
     os.replace(path + ".part", path)
     print(json.dumps({"workload": args.workload, "pairs": len(pairs),
-                      "medians": entry["medians"], "change_wins": entry["change_wins"]}))
+                      "medians": entry["medians"], "quartiles": entry["quartiles"],
+                      "change_wins": entry["change_wins"]}))
     return 0
 
 

@@ -161,7 +161,7 @@ def main(argv=None) -> int:
         settings.update((key, getattr(args, key)) for key in SETTINGS
                         if getattr(args, key) is not None)
         report = run_experiment(config_from_settings(settings))
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:  # numpy's names the size it could not get
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:

@@ -98,6 +98,15 @@ class ExperimentConfig:
             raise ConfigError(
                 f"tabular scheme holds {length} entries but the run needs {needed}"
             )
+        sc = self.scheme
+        if sc.kind is SchemeKind.POWER_LAW:
+            try:  # sigma_k^2 = s2*k**b, and k*(1 + p*s2*k**max(b - a, 0)) >= s_k^2
+                top = max(sc.s2 * needed ** sc.b,
+                          needed * (1.0 + sc.p * sc.s2 * needed ** max(sc.b - sc.a, 0.0)))
+            except OverflowError:  # a float power overflows by raising
+                top = math.inf
+            if top == math.inf:
+                raise ConfigError(f"power law s2={sc.s2}, b={sc.b} overflows at k={needed}")
         return replace(self, n_grid=n_grid, eps_grid=eps_grid,
                        formats=tuple(self.formats))
 

@@ -118,8 +118,8 @@ class BaseDistribution:
     kind: str = "generic"
     zero_from: float = math.inf
 
-    def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        raise NotImplementedError
+    def draw(self, rng: np.random.Generator, out: np.ndarray) -> None:
+        raise NotImplementedError  # fills the float64 array out with draws
 
     def truncated_second_moment(self, t, out=None):
         """E[X^2; |X| >= t]; equals 1 at t = 0 and is nonincreasing in t.
@@ -148,8 +148,8 @@ class StdNormal(BaseDistribution):
     kind = "normal"
     zero_from = 40.0  # exp(-t^2/2) and erfc(t/sqrt(2)) both underflow to 0.0
 
-    def draw(self, rng, size):
-        return rng.standard_normal(size)
+    def draw(self, rng, out):
+        rng.standard_normal(out=out)
 
     def _tail_moment(self, t, out):
         # E[X^2; |X| >= t] = 2*(t*phi(t) + 1 - Phi(t)) by one integration by parts
@@ -169,8 +169,10 @@ class StdUniform(BaseDistribution):
     kind = "uniform"
     zero_from = _SQRT3  # the support ends there
 
-    def draw(self, rng, size):
-        return rng.uniform(-_SQRT3, _SQRT3, size)
+    def draw(self, rng, out):
+        # numpy's uniform(-sqrt(3), sqrt(3)), low + (high - low) * U, bit for bit
+        np.multiply(rng.random(out=out), 2.0 * _SQRT3, out=out)
+        out -= _SQRT3
 
     def _tail_moment(self, t, out):
         # exact polynomial tail: 1 - t^3 / (3*sqrt(3)) inside the support
@@ -184,8 +186,8 @@ class StdLaplace(BaseDistribution):
     scale = 1.0 / _SQRT2
     zero_from = 530.0  # exp(-sqrt(2) t) underflows to 0.0
 
-    def draw(self, rng, size):
-        return rng.laplace(0.0, self.scale, size)
+    def draw(self, rng, out):
+        out[:] = rng.laplace(0.0, self.scale, out.size)  # numpy's laplace has no out=
 
     def _tail_moment(self, t, out):
         # exact exponential tail: exp(-sqrt(2) t) * (t^2 + sqrt(2) t + 1)
@@ -212,15 +214,16 @@ def base_distribution(kind: str) -> BaseDistribution:
 # Sampling
 # ---------------------------------------------------------------------------
 
-def draw_centered_row(n: int, p: np.ndarray, sigma: np.ndarray,
-                      dist: BaseDistribution, rng: np.random.Generator) -> np.ndarray:
-    """Centered observations (X_k - mu) for k = 1..n, drawn as two blocks.
+def draw_centered_row(p: np.ndarray, sigma: np.ndarray, dist: BaseDistribution,
+                      rng: np.random.Generator, out: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Centered observations (X_k - mu) for k = 1..n, drawn in place into ``out``.
 
-    Consumes one block of n uniforms followed by one block of n base draws;
-    per index the uniform still decides the branch and both events are always
-    consumed, so the stream layout is deterministic and branch-independent.
-    Centering is exact because mu cancels algebraically before any rounding.
+    Consumes n uniforms (into the scratch ``u``), then n base draws (into
+    ``out``: numpy's sampler bits, uniform as 2*sqrt(3)*U - sqrt(3)), and
+    scales by sigma_k where the uniform picks the inflated branch; both
+    events are always consumed, so the stream layout is deterministic and
+    branch-independent.  Returns ``out``; mu cancels before any rounding.
     """
-    u = rng.random(n)
-    z = dist.draw(rng, n)
-    return np.where(u < p, sigma * z, z)
+    rng.random(out=u)
+    dist.draw(rng, out)
+    return np.multiply(out, sigma, out=out, where=u < p)

@@ -3,6 +3,8 @@
 Stream i of master seed s is ``np.random.default_rng(split_seed(s, i))``,
 where ``split_seed`` is the scalar SplitMix64 mix below.  The package derives
 the same generator states in vectorized form; the tests compare the two.
+``numpy_draws`` is the oracle for the base draws: numpy's own samplers, which
+the package's in-place draws must reproduce bit for bit.
 """
 
 import numpy as np
@@ -20,3 +22,12 @@ def split_seed(master_seed: int, stream_index: int) -> int:
 
 def oracle_generator(master_seed: int, stream_index: int) -> np.random.Generator:
     return np.random.default_rng(split_seed(master_seed, stream_index))
+
+
+def numpy_draws(kind: str, gen: np.random.Generator, n: int) -> np.ndarray:
+    """n draws of the standardized base ``kind`` from numpy's own samplers."""
+    if kind == "normal":
+        return gen.standard_normal(n)
+    if kind == "uniform":
+        return gen.uniform(-np.sqrt(3.0), np.sqrt(3.0), n)
+    return gen.laplace(0.0, 1.0 / np.sqrt(2.0), n)

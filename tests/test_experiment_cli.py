@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import re
+import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -259,6 +260,34 @@ def test_cli_validation_exit_code(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("p,s2,b", [("0.5", "1e300", "2"), ("0.1", "4", "200")])
+def test_cli_refuses_a_power_law_that_overflows(p, s2, b, tmp_path, capsys):
+    # sigma_k^2 = s2*k**b, or s_k^2 through the factor p*s2*k**(b - a), would
+    # be inf at the default grid's top k = 128000: a message naming s2, b and
+    # k, not a RuntimeWarning from the walk and a threshold error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["--scheme", "powerlaw", "--p", p, "--a", "1", "--s2", s2, "--b", b,
+                     "--n", "10", "--reps", "5", "--workers", "1", "--out", str(tmp_path)])
+    assert code == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1
+    assert f"s2={float(s2)}" in err and f"b={float(b)}" in err and "k=128000" in err
+
+
+def test_cli_out_of_memory_is_a_validation_error(monkeypatch, capsys):
+    # numpy raises a MemoryError that names the size; nothing is allocated here
+    def refuse(config):
+        raise MemoryError("Unable to allocate 745. GiB for an array with shape "
+                          "(100000000000,) and data type float64")
+
+    monkeypatch.setattr(cli, "run_experiment", refuse)
+    assert main(["--scheme", "none", "--n", "100000000000"]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == (
+        "error: Unable to allocate 745. GiB for an array with shape (100000000000,) "
+        "and data type float64\n")
+
+
 def test_cli_missing_parameters_exit_code(capsys):
     code = main(["--scheme", "powerlaw", "--p", "0.1"])
     assert code == EXIT_VALIDATION
@@ -418,13 +447,18 @@ def test_run_figures_writes_under_the_repo_root(tmp_path, monkeypatch):
         assert out.name == Path(argv[argv.index("--config") + 1]).stem
 
 
-def test_bench_pair_refuses_blas_thread_variables(monkeypatch, capsys):
-    # both benchmarked sides inherit the environment, so a BLAS thread
-    # setting there would override what each side's CLI chooses
+def _bench_pair_script():
     root = Path(__file__).resolve().parents[1]
     spec = importlib.util.spec_from_file_location("bench_pair", root / "scripts" / "bench_pair.py")
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
+    return script
+
+
+def test_bench_pair_refuses_blas_thread_variables(monkeypatch, capsys):
+    # both benchmarked sides inherit the environment, so a BLAS thread
+    # setting there would override what each side's CLI chooses
+    script = _bench_pair_script()
     for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
         monkeypatch.setenv(name, "1")
         # --pairs 0 is refused too, so a missing check cannot start a run
@@ -433,3 +467,26 @@ def test_bench_pair_refuses_blas_thread_variables(monkeypatch, capsys):
                          "--pairs", "0"])
         assert stop.value.code == 2 and name in capsys.readouterr().err
         monkeypatch.delenv(name)
+
+
+def test_bench_pair_summary_reads_medians_quartiles_and_wins():
+    # a claim needs the pairs won and the median gap against the base's IQR
+    def pair(base, change):
+        return {side: {"result": {"metrics": {"wall_s": {"value": v}, "cpu_s": {"value": 1.0}}}}
+                for side, v in (("base", base), ("change", change))}
+
+    base = [2.0, 2.4, 2.2, 2.1, 2.3, 2.6, 2.0, 2.2, 2.5, 2.1]
+    change = [1.5, 1.6, 1.4, 2.2, 1.5, 1.7, 1.6, 2.3, 1.4, 1.5]
+    medians, quartiles, wins = _bench_pair_script().summary(
+        [pair(b, c) for b, c in zip(base, change)])
+    assert medians == {"base": {"wall_s": 2.2, "cpu_s": 1.0},
+                       "change": {"wall_s": 1.55, "cpu_s": 1.0}}
+    # inclusive quartiles: order statistics 3.25 and 7.75 of 10, counted from 1
+    assert quartiles["base"]["wall_s"] == pytest.approx([2.1, 2.375])
+    assert quartiles["change"]["wall_s"] == pytest.approx([1.5, 1.675])
+    assert quartiles["base"]["cpu_s"] == [1.0, 1.0]
+    assert wins == {"wall_s": 8, "cpu_s": 0}  # two pairs lost, and no tie is a win
+    # one pair: both quartiles are its value
+    _, single, _ = _bench_pair_script().summary([pair(3.0, 2.0)])
+    assert single == {"base": {"wall_s": [3.0, 3.0], "cpu_s": [1.0, 1.0]},
+                      "change": {"wall_s": [2.0, 2.0], "cpu_s": [1.0, 1.0]}}

@@ -8,6 +8,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from stream_oracle import numpy_draws
 
 from contamclt.model import (
     ContaminationScheme,
@@ -185,7 +186,8 @@ def test_draws_follow_the_standardized_law(dist):
     # sqrt(ln(2/alpha) / 2R) with probability at most alpha; a wrong scale
     # (say uniform on [-1, 1]) is off by about 0.2
     R, alpha = 20_000, 0.01
-    draws = dist.draw(np.random.default_rng(20261018), R)
+    draws = np.empty(R)
+    dist.draw(np.random.default_rng(20261018), draws)
     ks = scipy.stats.kstest(draws, law.cdf).statistic
     assert ks <= math.sqrt(math.log(2.0 / alpha) / (2.0 * R))
 
@@ -203,26 +205,29 @@ def test_base_distribution_registry():
 
 def _row(scheme, n, dist, rng):
     p, s2 = scheme.weights(n)
-    return draw_centered_row(n, p, np.sqrt(s2), dist, rng)
+    return draw_centered_row(p, np.sqrt(s2), dist, rng, np.empty(n), np.empty(n))
 
 
-def test_draw_consumes_exactly_two_events_in_fixed_order():
+@pytest.mark.parametrize("dist", ALL_DISTS, ids=lambda d: d.kind)
+def test_draw_consumes_exactly_two_events_in_fixed_order(dist):
     # per index one uniform and one base draw, as a block of n uniforms then
-    # a block of n base draws, whichever branch each index takes
+    # a block of n base draws, whichever branch each index takes; the draws
+    # are numpy's own samplers' bits, written into the caller's buffer
     scheme = ContaminationScheme.power_law(0.9, 0.1, 2.0, 0.5)
     n = 40
+    p, s2 = scheme.weights(n)
     rng = np.random.default_rng(99)
-    row = _row(scheme, n, StdNormal(), rng)
-    after = rng.random()
+    out = np.full(n, np.nan)
+    row = draw_centered_row(p, np.sqrt(s2), dist, rng, out, np.full(n, np.nan))
 
     manual = np.random.default_rng(99)
     u = manual.random(n)
-    z = manual.standard_normal(n)
-    p, s2 = scheme.weights(n)
+    z = numpy_draws(dist.kind, manual, n)
     expected = [math.sqrt(s2[k]) * z[k] if u[k] < p[k] else z[k] for k in range(n)]
     assert 0 < np.count_nonzero(u < p) < n  # both branches are exercised
-    assert row.tolist() == expected
-    assert after == manual.random()
+    assert row is out
+    assert np.array_equal(row.view(np.int64), np.array(expected).view(np.int64))
+    assert rng.bit_generator.state == manual.bit_generator.state
 
 
 def test_draw_same_seed_bitwise_identical():
@@ -258,8 +263,8 @@ def test_moment_identity_monte_carlo(dist, kappa):
     scheme = ContaminationScheme.tabular([0.3], [16.0])
     mu, n = 2.5, 10 ** 5
     rng = np.random.default_rng(2024)
-    u = rng.random(n)
-    z = dist.draw(rng, n)
+    u, z = rng.random(n), np.empty(n)
+    dist.draw(rng, z)
     draws = mu + np.where(u < 0.3, 4.0 * z, z)
 
     var_exact = (1 - 0.3) + 0.3 * 16.0
@@ -276,8 +281,8 @@ def test_always_contaminated_branch_scales_by_sigma():
     dist = StdNormal()
     n = 10 ** 5
     rng = np.random.default_rng(5)
-    u = rng.random(n)
-    z = dist.draw(rng, n)
+    u, z = rng.random(n), np.empty(n)
+    dist.draw(rng, z)
     draws = np.where(u < 1.0, 3.0 * z, z)
     assert np.all(u < 1.0)
     se_var = math.sqrt((_mixture_fourth_moment(1.0, 9.0, 3.0) - 81.0) / n)

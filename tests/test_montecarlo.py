@@ -23,8 +23,7 @@ def test_single_observation_statistic_is_centered_draw():
     stat = replicate(1, 1, UNCONTAMINATED, NORMAL, 5.0, 17).samples[0]
     manual = oracle_generator(17, 0)
     manual.random(1)
-    z = NORMAL.draw(manual, 1)[0]
-    assert stat == z
+    assert stat == manual.standard_normal()
 
 
 def test_uncontaminated_replicates_close_to_normal():

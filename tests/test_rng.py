@@ -8,10 +8,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from contamclt.analytic import array_stats
-from contamclt.model import ContaminationScheme, StdNormal
-from contamclt.montecarlo import replicate
+from contamclt.model import ContaminationScheme, StdNormal, base_distribution
+from contamclt.montecarlo import _BLOCK_ELEMS, replicate
 from contamclt.rng import stream_batch, stream_generator
-from stream_oracle import oracle_generator, split_seed
+from stream_oracle import numpy_draws, oracle_generator, split_seed
 
 EDGE_SEEDS = (0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1)
 
@@ -75,14 +75,23 @@ def test_stream_batch_is_whole_blocks_of_at_least_64_rows():
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_replicate_equals_row_by_row_oracle_replay(workers):
-    R, n, seed = 37, 5, 0xDEADBEEFCAFEF00D
+    # the base draws come from numpy's own samplers: no golden output uses
+    # uniform or laplace, so this is their only independent bit check; a row
+    # of 70 000 is longer than a whole reduction block
+    seed = 0xDEADBEEFCAFEF00D
     scheme = ContaminationScheme.power_law(0.3, 0.5, 9.0, 1.0)
-    got = replicate(R, n, scheme, StdNormal(), 0.0, seed, workers=workers).samples
-    p, s2 = scheme.weights(n)
-    s_n = math.sqrt(array_stats(scheme, n).s2_n)
-    want = []
-    for i in range(R):
-        gen = oracle_generator(seed, i)
-        u, z = gen.random(n), gen.standard_normal(n)
-        want.append(math.fsum(np.where(u < p, np.sqrt(s2) * z, z)) / s_n)
-    assert np.array_equal(got.view(np.int64), np.array(want).view(np.int64))
+    assert 70_000 > _BLOCK_ELEMS
+    for kind in ("normal", "uniform", "laplace"):
+        for R, n in ((37, 5), (2, 70_000)):
+            got = replicate(R, n, scheme, base_distribution(kind), 0.0, seed,
+                            workers=workers).samples
+            p, s2 = scheme.weights(n)
+            s_n = math.sqrt(array_stats(scheme, n).s2_n)
+            want = []
+            for i in range(R):
+                gen = oracle_generator(seed, i)
+                u = gen.random(n)
+                z = numpy_draws(kind, gen, n)
+                want.append(math.fsum(np.where(u < p, np.sqrt(s2) * z, z)) / s_n)
+            assert np.array_equal(got.view(np.int64), np.array(want).view(np.int64)), (
+                kind, R, n)
