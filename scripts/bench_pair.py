@@ -12,10 +12,10 @@ script before anything is written.
 ``BENCH_<label>.json`` at the repository root names the base and the change
 commit.  Per workload it holds every run's ``machine:`` line and result JSON,
 each side's median and first and third quartiles of every metric, and how
-many pairs the change won per metric (lower is better for all of them), so
-a claimed gain can be read off it: the pairs won, and the gap between the
-medians against the base's interquartile range.  A later invocation with the same
-label adds its workload, or its pairs to a workload already there, and
+many pairs the change won per metric (lower is better for all of them), so a
+claimed gain can be read off it: the pairs won, and the gap between the
+medians against the base's interquartile range.  A later invocation with the
+same label adds its workload, or its pairs to a workload already there, and
 refuses to write into a file that names other revisions.  The change side
 must be committed: tracked files other than ``BENCH_*.json`` may not have
 uncommitted edits.
