@@ -44,7 +44,7 @@ _SPLIT_LIMIT = 2.0 ** 1022
 
 
 def exact_sums(block) -> np.ndarray:
-    """Correctly rounded sum of each row of a 2-D float64 block.
+    """Correctly rounded sum of each row of a 2-D float64 block, which it overwrites.
 
     Equal bit for bit to ``math.fsum(row.tolist())`` for every row, with the
     work vectorized over the block.  Each level applies the error-free
@@ -57,19 +57,19 @@ def exact_sums(block) -> np.ndarray:
     ``math.fsum`` rounds once.  Rows the splitter cannot take go to
     ``math.fsum`` whole, so they give its value or raise its exception.
     """
-    x = np.asarray(block, dtype=np.float64)
-    if x.ndim != 2:
-        raise ValueError(f"need a 2-D block, got shape {x.shape}")
-    rows, n = x.shape
+    r = np.asarray(block, dtype=np.float64)
+    if r.ndim != 2:
+        raise ValueError(f"need a 2-D block, got shape {r.shape}")
+    rows, n = r.shape
     out = np.zeros(rows)
     if n == 0:
         return out
-    top = np.abs(x).max(axis=1)
+    q = np.empty_like(r)
+    top = np.abs(r, out=q).max(axis=1)
     ok = top < _SPLIT_LIMIT / (2.0 * n)  # False for inf and nan too
     for i in np.flatnonzero(~ok):
-        out[i] = math.fsum(x[i].tolist())
-    r, top = x[ok], top[ok]
-    q = np.empty_like(r)
+        out[i] = math.fsum(r[i].tolist())
+        r[i], top[i] = 0.0, 0.0  # so its levels are all zero
     levels = []
     while top.any():
         sigma = np.ldexp(1.0, np.frexp(2.0 * n * top)[1])[:, None]
@@ -79,7 +79,7 @@ def exact_sums(block) -> np.ndarray:
         r -= q
         top = np.abs(r, out=q).max(axis=1)
     if levels:
-        out[ok] = [math.fsum(s) for s in np.array(levels).T.tolist()]
+        out[ok] = [math.fsum(s) for s in np.array(levels)[:, ok].T.tolist()]
     return out
 
 
@@ -432,9 +432,8 @@ def kolmogorov_distance_to_normal(samples) -> float:
         raise ValueError("need at least one sample")
     if not np.all(np.isfinite(arr)):
         raise ValueError("samples must be finite")
-    xs = np.sort(arr)
     r = arr.size
-    c = ndtr(xs)
+    c = ndtr(np.sort(arr))
     levels = np.arange(1, r + 1, dtype=np.float64) / r
     d_plus = float(np.max(levels - c))
     d_minus = float(np.max(c - (levels - 1.0 / r)))

@@ -215,15 +215,16 @@ def base_distribution(kind: str) -> BaseDistribution:
 # ---------------------------------------------------------------------------
 
 def draw_centered_row(p: np.ndarray, sigma: np.ndarray, dist: BaseDistribution,
-                      rng: np.random.Generator, out: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Centered observations (X_k - mu) for k = 1..n, drawn in place into ``out``.
+                      gens, out: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Centered observations (X_k - mu), k = 1..n, into each row of the block ``out``.
 
-    Consumes n uniforms (into the scratch ``u``), then n base draws (into
-    ``out``: numpy's sampler bits, uniform as 2*sqrt(3)*U - sqrt(3)), and
-    scales by sigma_k where the uniform picks the inflated branch; both
-    events are always consumed, so the stream layout is deterministic and
-    branch-independent.  Returns ``out``; mu cancels before any rounding.
+    Row i takes the i-th generator of ``gens`` and consumes n uniforms (into
+    row i of the scratch ``u``), then n base draws (numpy's sampler bits,
+    uniform as 2*sqrt(3)*U - sqrt(3)), whichever branch each index takes, so
+    the stream layout is fixed; one select over the block then scales by
+    sigma_k where u_k < p_k.  Returns ``out``; mu cancels before any rounding.
     """
-    rng.random(out=u)
-    dist.draw(rng, out)
+    for row, ui, rng in zip(out, u, gens):  # gens last, so none is taken too many
+        rng.random(out=ui)
+        dist.draw(rng, row)
     return np.multiply(out, sigma, out=out, where=u < p)

@@ -7,10 +7,10 @@ reads QQ points (Phi^-1(t), E^-1(t)) off the same sample, sorted once.
 Replicate i always draws from stream i split from the master seed, and its
 sum is correctly rounded (``analytic.exact_sums``, bit for bit ``math.fsum``
 of the row), so a run is reproducible and independent of how replicates are
-scheduled across workers or stacked into reduction blocks.  Rows are drawn
-in place into their block (``model.draw_centered_row``), so the loop
-allocates nothing per row; the streams of whole blocks (``rng.stream_batch``)
-come from one ``rng.stream_generator`` call, re-seeding a generator per row.
+scheduled across workers or stacked into reduction blocks.  A block is drawn
+in place (``model.draw_centered_row``), then selected and summed in place,
+once each; the streams of whole blocks (``rng.stream_batch``) come from one
+``rng.stream_generator`` call, re-seeding a generator per row.
 """
 
 from __future__ import annotations
@@ -60,16 +60,15 @@ def _replicate_chunk(args) -> np.ndarray:
     sigma = np.sqrt(s2)
     step = max(1, _BLOCK_ELEMS // n)
     batch = _rng.stream_batch(step)
-    block, u = np.empty((min(step, hi - lo), n)), np.empty(n)
+    block, u = np.empty((2, min(step, hi - lo), n))  # draws and their uniforms
     out = np.empty(hi - lo, dtype=np.float64)
     for first in range(lo, hi, batch):
         last = min(first + batch, hi)
         gens = _rng.stream_generator(master_seed, first, last)
         for start in range(first, last, step):
-            rows = block[:min(step, last - start)]
-            for row, gen in zip(rows, gens):  # rows first, so no stream is skipped
-                draw_centered_row(p, sigma, dist, gen, row, u)
-            out[start - lo:start - lo + len(rows)] = exact_sums(rows) / s_n
+            k = min(step, last - start)
+            rows = draw_centered_row(p, sigma, dist, gens, block[:k], u[:k])
+            out[start - lo:start - lo + k] = exact_sums(rows) / s_n
     return out
 
 

@@ -70,10 +70,10 @@ def _pcg64_states(master_seed: int, lo: int, hi: int) -> list[tuple[int, int]]:
 
 
 def _reseeded(states: list[tuple[int, int]]):
-    gen = np.random.Generator(np.random.PCG64(0))
-    for state, inc in states:
-        gen.bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
-                                   "state": {"state": state, "inc": inc}}
+    gen, inner = np.random.Generator(np.random.PCG64(0)), {}
+    full = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0, "state": inner}
+    for inner["state"], inner["inc"] in states:  # the setter copies, so one dict serves
+        gen.bit_generator.state = full
         yield gen
 
 

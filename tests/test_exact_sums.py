@@ -149,12 +149,12 @@ def test_level_loop_terminates_over_the_whole_exponent_range():
     block = np.stack([np.concatenate([powers, -0.75 * powers]),
                       np.concatenate([powers[::-1], np.zeros_like(powers)])])
     assert 2 * block.shape[1] * np.abs(block).max() < 2.0 ** MAX_EXP
+    want = [math.fsum(row) for row in block.tolist()]  # before the call overwrites block
     result = []
     worker = threading.Thread(target=lambda: result.append(exact_sums(block)), daemon=True)
     worker.start()
     worker.join(timeout=30.0)
     assert not worker.is_alive(), "level loop did not terminate"
-    want = [math.fsum(row) for row in block.tolist()]
     assert result[0].view(np.int64).tolist() == np.array(want).view(np.int64).tolist()
 
 

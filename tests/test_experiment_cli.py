@@ -1,14 +1,19 @@
 """Experiment runner, emitters, config files, and CLI exit codes."""
 
 import importlib.util
+import io
 import json
 import re
+import tempfile
 import warnings
 import xml.etree.ElementTree as ET
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import contamclt.cli as cli
 from contamclt import analytic
@@ -197,6 +202,13 @@ def test_load_tabular_scheme_bad_header(tmp_path):
         load_tabular_scheme(str(path))
 
 
+def test_load_tabular_scheme_field_past_the_csv_limit(tmp_path):
+    path = tmp_path / "scheme.csv"
+    path.write_text("p_k,sigma2_k\n0.5,2\n" + "1" * 200_000 + ",2\n")
+    with pytest.raises(ConfigError, match=r"scheme\.csv:3: field larger than field limit"):
+        load_tabular_scheme(str(path))
+
+
 def test_load_tabular_scheme_bad_row(tmp_path):
     path = tmp_path / "scheme.csv"
     path.write_text("p_k,sigma2_k\n0.5\n")
@@ -366,6 +378,84 @@ def test_cli_non_utf8_tabular_file(tmp_path, capsys):
     table.write_bytes(b"p_k,sigma2_k\n0.5,2.0\xff\n")
     assert main(["--scheme", "tabular", "--tabular", str(table)]) == EXIT_VALIDATION
     assert f"error: {table}" in capsys.readouterr().err
+
+
+# Hostile text for any setting: blanks, signs and specials, numerals that
+# int() and float() accept too, empty list items, control characters, a
+# number past int()'s digit limit, a field past csv's size limit, a lone
+# surrogate (not UTF-8 once written to a file) and valid names and grids.
+HOSTILE = (
+    "", " ", "-", ".", "nan", "-inf", "1e400", "1e308", "5e-324", "-0", "0", "-1", "1",
+    "2", "0.5", "2.5", "0x10", "1_0", "\uff11\uff12", "\u0663", "1,2", ",,", "true",
+    "csv,,json", "json,pdf", "\x00", "\t3\n", "3 # 4", "\u00e9", "\udc80", "9" * 5000,
+    "1" * 200_000, "powerlaw", "tabular", "none", "laplace", "uniform",
+    "100,200,400,800,1600,3200", "0.001,0.01,0.1,1,10,100,1000,10000",
+)
+# a small valid run that the drawn settings override, key by key
+FUZZ_BASE = {"scheme": "powerlaw", "p": "0.1", "a": "1", "s2": "4", "b": "1", "n": "8",
+             "reps": "8", "workers": "1", "n_grid": "100,200,400,800,1600,3200",
+             "eps_grid": "0.001,0.01,0.1,1,10,100,1000,10000"}
+# valid values drawn as often as hostile ones, so that runs go deeper
+FUZZ_VALID = {"scheme": ("tabular", "none"), "dist": ("laplace", "uniform"),
+              "workers": ("2",), "formats": ("svg", ""), "force": ("yes",)}
+
+
+def _small_or_not_int(text: str, cap: int = 16) -> bool:
+    try:
+        return int(text) <= cap
+    except ValueError:
+        return True
+
+
+@st.composite
+def _hostile_settings(draw):
+    """Some settings, each with a hostile value and a route: config file or flag."""
+    keys = draw(st.lists(st.sampled_from(list(SETTINGS)), unique=True, max_size=6))
+    values = {key: draw(st.sampled_from(HOSTILE).filter(_small_or_not_int)
+                        if key in ("n", "reps") else st.sampled_from(HOSTILE))
+              for key in keys}
+    for key in keys:
+        if key in FUZZ_VALID and draw(st.booleans()):
+            values[key] = draw(st.sampled_from(FUZZ_VALID[key]))
+    return {key: (value, draw(st.booleans())) for key, value in values.items()}
+
+
+@given(_hostile_settings())
+@example({"scheme": ("tabular", True), "tabular": ("1" * 200_000, False)})  # csv's field limit
+@settings(max_examples=60, deadline=None)
+def test_cli_hostile_settings_end_in_one_error_line(drawn):
+    # any mix of hostile values, from a config file or as flags, ends with
+    # exit 0, 2 or 3, one "error:" line on failure and no warning; n and
+    # reps stay small, and every path stays inside a temporary directory
+    with tempfile.TemporaryDirectory() as tmp:
+        config = {**FUZZ_BASE, "out": f"{tmp}/o"}
+        argv = []
+        for key, (value, in_file) in drawn.items():
+            if key == "out":
+                value = f"{tmp}/o{value}"
+            elif key == "tabular":  # the value is the table's first row
+                value = f"{tmp}/t.csv"
+                with open(value, "w", encoding="utf-8", errors="surrogateescape") as handle:
+                    handle.write(f"p_k,sigma2_k\n{drawn[key][0]}\n" + "0.1,4\n" * 3200)
+            if in_file:
+                config[key] = value
+            else:
+                argv.append("--force" if key == "force" else f"--{key.replace('_', '-')}={value}")
+        cfg = Path(tmp, "run.cfg")
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in config.items()),
+                       encoding="utf-8", errors="surrogateescape")
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                redirect_stdout(out), redirect_stderr(err):
+            warnings.simplefilter("always")
+            try:
+                code = main(["--config", str(cfg), *argv])
+            except SystemExit as exc:  # argparse's own refusals
+                code = exc.code
+    errors = [line for line in err.getvalue().splitlines() if "error:" in line]
+    assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_IO), (code, err.getvalue())
+    assert len(errors) == (code != EXIT_OK), err.getvalue()
+    assert not caught, [str(w.message) for w in caught]
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from stream_oracle import numpy_draws
+from stream_oracle import numpy_draws, oracle_generator
 
 from contamclt.model import (
     ContaminationScheme,
@@ -18,6 +18,7 @@ from contamclt.model import (
     base_distribution,
     draw_centered_row,
 )
+from contamclt.rng import stream_generator
 
 ALL_DISTS = [StdNormal(), StdUniform(), StdLaplace()]
 
@@ -204,8 +205,10 @@ def test_base_distribution_registry():
 # ---------------------------------------------------------------------------
 
 def _row(scheme, n, dist, rng):
+    """One row drawn from ``rng`` as a 1-row block."""
     p, s2 = scheme.weights(n)
-    return draw_centered_row(p, np.sqrt(s2), dist, rng, np.empty(n), np.empty(n))
+    return draw_centered_row(p, np.sqrt(s2), dist, [rng], np.empty((1, n)),
+                             np.empty((1, n)))[0]
 
 
 @pytest.mark.parametrize("dist", ALL_DISTS, ids=lambda d: d.kind)
@@ -217,17 +220,36 @@ def test_draw_consumes_exactly_two_events_in_fixed_order(dist):
     n = 40
     p, s2 = scheme.weights(n)
     rng = np.random.default_rng(99)
-    out = np.full(n, np.nan)
-    row = draw_centered_row(p, np.sqrt(s2), dist, rng, out, np.full(n, np.nan))
+    out = np.full((1, n), np.nan)
+    block = draw_centered_row(p, np.sqrt(s2), dist, [rng], out, np.full((1, n), np.nan))
+    row = block[0]
 
     manual = np.random.default_rng(99)
     u = manual.random(n)
     z = numpy_draws(dist.kind, manual, n)
     expected = [math.sqrt(s2[k]) * z[k] if u[k] < p[k] else z[k] for k in range(n)]
     assert 0 < np.count_nonzero(u < p) < n  # both branches are exercised
-    assert row is out
+    assert block is out
     assert np.array_equal(row.view(np.int64), np.array(expected).view(np.int64))
     assert rng.bit_generator.state == manual.bit_generator.state
+
+
+@pytest.mark.parametrize("dist", ALL_DISTS, ids=lambda d: d.kind)
+def test_block_draw_equals_one_row_calls_and_takes_one_generator_per_row(dist):
+    # a 3-row call draws row i from stream i, bit for bit as three 1-row
+    # calls do, and leaves stream 3 untaken in the iterator
+    seed, n = 0xC0FFEE, 50
+    scheme = ContaminationScheme.power_law(0.6, 0.2, 4.0, 1.0)
+    p, s2 = scheme.weights(n)
+    gens = stream_generator(seed, 0, 4)
+    block = draw_centered_row(p, np.sqrt(s2), dist, gens, np.empty((3, n)), np.empty((3, n)))
+    assert next(gens).bit_generator.state == oracle_generator(seed, 3).bit_generator.state
+
+    gens = stream_generator(seed, 0, 4)
+    rows = [draw_centered_row(p, np.sqrt(s2), dist, gens, np.empty((1, n)),
+                              np.empty((1, n)))[0] for _ in range(3)]
+    assert next(gens).bit_generator.state == oracle_generator(seed, 3).bit_generator.state
+    assert np.array_equal(block.view(np.int64), np.array(rows).view(np.int64))
 
 
 def test_draw_same_seed_bitwise_identical():
