@@ -407,17 +407,18 @@ def _small_or_not_int(text: str, cap: int = 16) -> bool:
         return True
 
 
+def _fuzz_value(key: str):
+    hostile = st.sampled_from(HOSTILE)
+    if key in ("n", "reps"):
+        hostile = hostile.filter(_small_or_not_int)
+    return hostile | st.sampled_from(FUZZ_VALID[key]) if key in FUZZ_VALID else hostile
+
+
 @st.composite
 def _hostile_settings(draw):
     """Some settings, each with a hostile value and a route: config file or flag."""
     keys = draw(st.lists(st.sampled_from(list(SETTINGS)), unique=True, max_size=6))
-    values = {key: draw(st.sampled_from(HOSTILE).filter(_small_or_not_int)
-                        if key in ("n", "reps") else st.sampled_from(HOSTILE))
-              for key in keys}
-    for key in keys:
-        if key in FUZZ_VALID and draw(st.booleans()):
-            values[key] = draw(st.sampled_from(FUZZ_VALID[key]))
-    return {key: (value, draw(st.booleans())) for key, value in values.items()}
+    return {key: (draw(_fuzz_value(key)), draw(st.booleans())) for key in keys}
 
 
 @given(_hostile_settings())
