@@ -50,12 +50,22 @@ def exact_sums(block) -> np.ndarray:
     work vectorized over the block.  Each level applies the error-free
     extraction of Rump, Ogita and Oishi ("Accurate floating-point summation",
     SIAM J. Sci. Comput. 2008) to the residual r: with a power of two
-    sigma >= 2 n max|r| per row, q = (sigma + r) - sigma and r - q are both
+    sigma > 2 n max|r| per row, q = (sigma + r) - sigma and r - q are both
     exact, every q is a multiple of ulp(sigma)/2 and |sum q| < sigma, so
-    ``q.sum`` is exact in any order.  Levels repeat on r - q until it is all
-    zero; a row's few level sums then add up exactly to its true sum, which
-    ``math.fsum`` rounds once.  Rows the splitter cannot take go to
-    ``math.fsum`` whole, so they give its value or raise its exception.
+    ``q.sum`` is exact in any order, and |r - q| <= sigma 2**-53.
+
+    After level one the true sum is S = tau + sum r, tau exact.  In any order
+    rho = fl(sum r) is off by at most gamma_(n-1) sum|r| <= 2 n**2 2**-106
+    sigma (n < 2**50); B = fl(that) + 2**-1074 exceeds it, as sigma is a
+    power of two: the product is exact unless it underflows, losing less
+    than 2**-1074.  With s = fl(tau + rho) and e its exact TwoSum error,
+    |S - s| <= |e| + B, so fl(|e| + B) < g/2, g the smaller gap from |s| to
+    a float neighbour, puts S strictly nearer s than any other float (fl is
+    monotone, and g/2 is a float or 0): s is final.  s = 0 always fails.  The
+    other rows repeat levels on r - q until it is all zero; their few level
+    sums then add up exactly to S, which ``math.fsum`` rounds once.  Rows
+    the splitter cannot take go to ``math.fsum`` whole, so they give its
+    value or raise its exception.
     """
     r = np.asarray(block, dtype=np.float64)
     if r.ndim != 2:
@@ -77,9 +87,19 @@ def exact_sums(block) -> np.ndarray:
         q -= sigma
         levels.append(q.sum(axis=1))
         r -= q
+        if len(levels) == 1:  # settle the certified rows; the rest go on in front of q
+            tau, rho = levels[0], r.sum(axis=1)
+            s = tau + rho
+            b = s - tau  # TwoSum: s + e == tau + rho exactly
+            e = np.abs((tau - (s - b)) + (rho - b)) + (
+                math.ldexp(float(n * n), -105) * sigma[:, 0] + 2.0 ** -1074)
+            done = ok & (e < 0.5 * (np.abs(s) - np.nextafter(np.abs(s), 0.0)))
+            out[done] = s[done]
+            rest = np.flatnonzero(ok & ~done)
+            r, q, levels = np.take(r, rest, axis=0, out=q[:rest.size]), r[:rest.size], [tau[rest]]
         top = np.abs(r, out=q).max(axis=1)
     if levels:
-        out[ok] = [math.fsum(s) for s in np.array(levels)[:, ok].T.tolist()]
+        out[rest] = [math.fsum(sums) for sums in np.array(levels).T.tolist()]
     return out
 
 
@@ -191,7 +211,7 @@ def _geometric(out: tuple, min_points: int, what: str) -> tuple:
     if not (out[0] > 0 and all(b > a for a, b in zip(out, out[1:]))):  # nan fails
         raise ValueError(f"{what} must be strictly increasing and positive")
     ratios = [b / a for a, b in zip(out, out[1:])]
-    rbar = ratios[len(ratios) // 2]
+    rbar = sorted(ratios)[len(ratios) // 2]
     if any(abs(r - rbar) > 0.25 * rbar for r in ratios):
         raise ValueError(f"{what} must be (approximately) geometric")
     return out

@@ -10,7 +10,8 @@ of the row), so a run is reproducible and independent of how replicates are
 scheduled across workers or stacked into reduction blocks.  A block is drawn
 in place (``model.draw_centered_row``), then selected and summed in place,
 once each; the streams of whole blocks (``rng.stream_batch``) come from one
-``rng.stream_generator`` call, re-seeding a generator per row.
+``rng.stream_generator`` call, which writes each row's PCG64 state into one
+reused generator.
 """
 
 from __future__ import annotations

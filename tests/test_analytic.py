@@ -199,6 +199,17 @@ def test_grid_validation():
     assert validate_eps_grid(DEFAULT_EPS_GRID) == DEFAULT_EPS_GRID
 
 
+def test_grid_ratios_are_checked_against_their_median():
+    # one ratio of 2.3 among 3s lies within 25% of the median 3; the ratio in
+    # the middle of the grid order is that 2.3, and 3 is not within 25% of it
+    n_grid = (1000, 3000, 9000, 27000, 62100, 186300, 558900)
+    assert validate_geometric_grid(n_grid) == n_grid
+    eps_grid = [1e-3]
+    for ratio in (3, 3, 3, 3, 2.3, 3, 3, 3, 3):
+        eps_grid.append(eps_grid[-1] * ratio)
+    assert validate_eps_grid(eps_grid) == tuple(eps_grid)
+
+
 # ---------------------------------------------------------------------------
 # Lindeberg sums and index
 # ---------------------------------------------------------------------------

@@ -8,12 +8,14 @@ payloads count), or, where fsum raises, asks for the same exception type.
 
 import math
 import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from contamclt import analytic
 from contamclt.analytic import exact_sums
 
 TINY = 2.0 ** -1074
@@ -163,3 +165,53 @@ def test_shape_checks_and_empty_rows():
         exact_sums(np.zeros(3))
     assert exact_sums(np.zeros((2, 0))).tolist() == [0.0, 0.0]
     assert exact_sums(np.zeros((0, 5))).shape == (0,)
+
+
+def _rows_past_level_one(monkeypatch, rows):
+    """``_assert_matches_fsum`` on the rows, and the level sums of each row
+    that the certificate left to the later levels (one fsum call per row)."""
+    calls = []
+
+    def counted(values):
+        calls.append(list(values))
+        return math.fsum(calls[-1])
+
+    patched = SimpleNamespace(**vars(math))
+    patched.fsum = counted
+    monkeypatch.setattr(analytic, "math", patched)
+    _assert_matches_fsum(rows)
+    monkeypatch.undo()
+    return calls
+
+
+def test_long_row_with_a_small_total_takes_the_level_loop(monkeypatch):
+    # one outlier cancels 99 999 entries of mean 3 down to a total near 0.1:
+    # it sets sigma, and the error bound of the level-1 residual sum dwarfs
+    # half an ulp of the total
+    row = np.random.default_rng(2024).standard_normal(100_000) + 3.0
+    row[31_337] = 0.0
+    row[31_337] = 0.1 - math.fsum(row)
+    assert abs(math.fsum(row)) < 1.0 < 1e5 < abs(row[31_337])
+    (sums,) = _rows_past_level_one(monkeypatch, [row.tolist()])
+    assert len(sums) > 1
+
+
+def test_near_ties_after_level_one_take_the_level_loop(monkeypatch):
+    # level one leaves the two small entries as residuals: s = fl(tau + rho)
+    # is then exactly half an ulp from the true sum, or a hair nearer or
+    # farther, so only the later levels can round it
+    u = 2.0 ** -53
+    rows = [[1.5, u, 0.0], [1.5, u, u ** 2], [1.5, u, -u ** 2],
+            [1.0, u, 0.0], [1.0, u, u ** 2], [1.0, -u / 2, -u ** 2]]
+    assert len(_rows_past_level_one(monkeypatch, rows)) == len(rows)
+
+
+def test_zero_sums_are_never_certified(monkeypatch):
+    # s = 0 fails the certificate, so the three rows that sum to zero go on
+    # to the next level (the cancelling row needs it) and give +0.0 as fsum
+    # does, between rows that pass it
+    rows = [[0.0, -0.0, 0.0, 0.0], [1.0, -0.0, 2.0, 0.5], [-0.0, -0.0, -0.0, -0.0],
+            [1.0, -1.0, 2.0 ** -60, -(2.0 ** -60)], [-0.0, 0.0, -0.0, 3.25]]
+    assert [len(sums) for sums in _rows_past_level_one(monkeypatch, rows)] == [2, 2, 2]
+    got = exact_sums(np.array(rows))
+    assert got.view(np.int64).tolist() == np.array([0.0, 3.5, 0.0, 0.0, 3.25]).view(np.int64).tolist()

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from contamclt import rng
 from contamclt.analytic import array_stats
 from contamclt.model import ContaminationScheme, StdNormal, base_distribution
 from contamclt.montecarlo import _BLOCK_ELEMS, replicate
@@ -14,6 +15,13 @@ from contamclt.rng import stream_batch, stream_generator
 from stream_oracle import numpy_draws, oracle_generator, split_seed
 
 EDGE_SEEDS = (0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1)
+MASK64, MASK128 = 2 ** 64 - 1, 2 ** 128 - 1
+PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+# a low word whose product with the multiplier's low word is 2**64 - 1, so
+# adding any inc_lo to the low product wraps
+ALL_ONES_FACTOR = pow(PCG64_MULT & MASK64, -1, 2 ** 64) * MASK64 & MASK64
+CARRY_EXAMPLES = [(0, MASK64, 0, 0), (0, ALL_ONES_FACTOR - 1, 0, 0)]
+WORD = st.one_of(st.sampled_from([0, 1, 2 ** 63, MASK64]), st.integers(0, MASK64))
 
 
 def test_oracle_mix_is_published_splitmix64():
@@ -41,6 +49,48 @@ def test_streams_equal_default_rng_of_split_seed(seed, lo, width):
         assert np.array_equal(gen.standard_normal(3), want.standard_normal(3))
         taken += 1
     assert taken == width and next(gens, None) is None
+
+
+def _python_int_seed(w0, w1, w2, w3):
+    inc = (w2 << 65 | w3 << 1 | 1) & MASK128
+    state = (((w0 << 64 | w1) + inc) * PCG64_MULT + inc) & MASK128
+    return [state & MASK64, state >> 64, inc & MASK64, inc >> 64]
+
+
+@given(words=st.lists(st.tuples(WORD, WORD, WORD, WORD), min_size=1, max_size=8))
+@example(words=[(0, 0, 0, 0)])
+@example(words=[(2 ** 63,) * 4])
+@example(words=[(MASK64,) * 4])
+@example(words=CARRY_EXAMPLES)
+@settings(max_examples=300, deadline=None)
+def test_pcg64_word_arithmetic_matches_python_ints(words):
+    got = rng._pcg64_seed(np.array(words, dtype=np.uint64).T)
+    assert got.tolist() == [_python_int_seed(*w) for w in words]
+
+
+def test_carry_examples_wrap_where_they_should():
+    # the explicit examples pin each carry out of the low words, whatever
+    # hypothesis draws
+    (_, w1, _, w3), (_, v1, _, v3) = CARRY_EXAMPLES
+    assert w1 + (w3 << 1 | 1) > MASK64  # (w0:w1) + inc
+    a_lo = v1 + (v3 << 1 | 1) & MASK64
+    assert (a_lo * PCG64_MULT & MASK64) + (v3 << 1 | 1) > MASK64  # product + inc
+
+
+def test_each_stream_starts_without_a_cached_32_bit_half():
+    # a bounded uint32 draw keeps the other half of a 64-bit output for the
+    # next call; the next stream must not start with it
+    for i, gen in enumerate(stream_generator(7, 0, 3)):
+        assert gen.bit_generator.state == oracle_generator(7, i).bit_generator.state
+        gen.integers(0, 10, dtype=np.uint32)
+        assert gen.bit_generator.state["has_uint32"] == 1
+
+
+def test_a_state_layout_that_reads_back_otherwise_raises(monkeypatch):
+    words = rng._words
+    monkeypatch.setattr(rng, "_words", lambda address, count: words(address, count)[::-1])
+    with pytest.raises(RuntimeError):
+        next(stream_generator(7, 0, 3))
 
 
 def test_stream_range_validation():
