@@ -96,7 +96,8 @@ def exact_sums(block) -> np.ndarray:
             done = ok & (e < 0.5 * (np.abs(s) - np.nextafter(np.abs(s), 0.0)))
             out[done] = s[done]
             rest = np.flatnonzero(ok & ~done)
-            r, q, levels = np.take(r, rest, axis=0, out=q[:rest.size]), r[:rest.size], [tau[rest]]
+            r, q = np.take(r, rest, axis=0, out=q[:rest.size], mode="clip"), r[:rest.size]
+            levels = [tau[rest]]
         top = np.abs(r, out=q).max(axis=1)
     if levels:
         out[rest] = [math.fsum(sums) for sums in np.array(levels).T.tolist()]
