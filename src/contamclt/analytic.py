@@ -43,8 +43,9 @@ _BLOCK = 1 << 14
 _SPLIT_LIMIT = 2.0 ** 1022
 
 
-def exact_sums(block) -> np.ndarray:
-    """Correctly rounded sum of each row of a 2-D float64 block, which it overwrites.
+def exact_sums(block, scratch=None) -> np.ndarray:
+    """Correctly rounded sum of each row of a 2-D float64 block, which it overwrites,
+    as it does ``scratch``, a float64 array of the block's shape, if one is given.
 
     Equal bit for bit to ``math.fsum(row.tolist())`` for every row, with the
     work vectorized over the block.  Each level applies the error-free
@@ -74,7 +75,7 @@ def exact_sums(block) -> np.ndarray:
     out = np.zeros(rows)
     if n == 0:
         return out
-    q = np.empty_like(r)
+    q = np.empty_like(r) if scratch is None else scratch
     top = np.abs(r, out=q).max(axis=1)
     ok = top < _SPLIT_LIMIT / (2.0 * n)  # False for inf and nan too
     for i in np.flatnonzero(~ok):

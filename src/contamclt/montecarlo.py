@@ -61,7 +61,7 @@ def _replicate_chunk(args) -> np.ndarray:
     sigma = np.sqrt(s2)
     step = max(1, _BLOCK_ELEMS // n)
     batch = _rng.stream_batch(step)
-    block, u = np.empty((2, min(step, hi - lo), n))  # draws and their uniforms
+    block, u = np.empty((2, min(step, hi - lo), n))  # draws, their uniforms, sum scratch
     out = np.empty(hi - lo, dtype=np.float64)
     for first in range(lo, hi, batch):
         last = min(first + batch, hi)
@@ -69,7 +69,7 @@ def _replicate_chunk(args) -> np.ndarray:
         for start in range(first, last, step):
             k = min(step, last - start)
             rows = draw_centered_row(p, sigma, dist, gens, block[:k], u[:k])
-            out[start - lo:start - lo + k] = exact_sums(rows) / s_n
+            out[start - lo:start - lo + k] = exact_sums(rows, u[:k]) / s_n
     return out
 
 
