@@ -14,11 +14,13 @@ commit.  Per workload it holds every run's ``machine:`` line and result JSON,
 each side's median and first and third quartiles of every metric, and how
 many pairs the change won per metric (lower is better for all of them), so a
 claimed gain can be read off it: the pairs won, and the gap between the
-medians against the base's interquartile range.  A later invocation with the
-same label adds its workload, or its pairs to a workload already there, and
-refuses to write into a file that names other revisions.  The change side
-must be committed: tracked files other than ``BENCH_*.json`` may not have
-uncommitted edits.
+medians against the base's interquartile range.  Per end-to-end metric of
+``BENCHMARK.json`` it also records whether the change's median is within
+that metric's relative ``bound`` of the base's: the no-regression check.  A
+later invocation with the same label adds its workload, or its pairs to a
+workload already there, and refuses to write into a file that names other
+revisions.  The change side must be committed: tracked files other than
+``BENCH_*.json`` may not have uncommitted edits.
 
 Both sides inherit this script's environment, so it refuses to run while any
 ``OPENBLAS_*``, ``GOTO_*`` or ``OMP_*`` variable is set: such a setting
@@ -93,6 +95,17 @@ def summary(pairs: list[dict]) -> tuple[dict, dict, dict]:
     return medians, spreads, wins
 
 
+def within_bounds(medians: dict, end_to_end: list[dict]) -> dict:
+    """Per end-to-end metric, whether the change's median is no worse than the
+    base's by more than the metric's bound, a fraction of the base's median."""
+    out = {}
+    for metric in end_to_end:
+        base, change = (medians[side][metric["name"]] for side in ("base", "change"))
+        worse = change - base if metric["better"] == "lower" else base - change
+        out[metric["name"]] = worse <= metric["bound"] * abs(base)
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--label", required=True, help="names the file BENCH_<label>.json")
@@ -149,13 +162,15 @@ def main(argv=None) -> int:
                 for name in pair["base"]["result"]["metrics"]), flush=True)
 
     entry["medians"], entry["quartiles"], entry["change_wins"] = summary(pairs)
+    entry["within_bound"] = within_bounds(entry["medians"], benchmark["end_to_end"])
     with open(path + ".part", "w") as handle:
         json.dump(record, handle, indent=1)
         handle.write("\n")
     os.replace(path + ".part", path)
     print(json.dumps({"workload": args.workload, "pairs": len(pairs),
                       "medians": entry["medians"], "quartiles": entry["quartiles"],
-                      "change_wins": entry["change_wins"]}))
+                      "change_wins": entry["change_wins"],
+                      "within_bound": entry["within_bound"]}))
     return 0
 
 

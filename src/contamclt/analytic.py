@@ -18,6 +18,7 @@ it keeps feed the Lindeberg sums, which are evaluated in cache-sized blocks.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -39,8 +40,9 @@ _CHUNK = 1 << 16
 _BLOCK = 1 << 14
 
 # Rows with 2 * n * max|x| at or above this, or with an inf or nan, are left
-# to math.fsum: the level splitter in ``exact_sums`` needs sigma + x finite.
+# to math.fsum: the splitter in ``exact_sums`` needs sigma + x finite.
 _SPLIT_LIMIT = 2.0 ** 1022
+_LEAF = 128  # keeps exact_sums' summation tree about 128 + n/128 deep, not n
 
 
 def exact_sums(block, scratch=None) -> np.ndarray:
@@ -48,25 +50,27 @@ def exact_sums(block, scratch=None) -> np.ndarray:
     as it does ``scratch``, a float64 array of the block's shape, if one is given.
 
     Equal bit for bit to ``math.fsum(row.tolist())`` for every row, with the
-    work vectorized over the block.  Each level applies the error-free
-    extraction of Rump, Ogita and Oishi ("Accurate floating-point summation",
-    SIAM J. Sci. Comput. 2008) to the residual r: with a power of two
-    sigma > 2 n max|r| per row, q = (sigma + r) - sigma and r - q are both
-    exact, every q is a multiple of ulp(sigma)/2 and |sum q| < sigma, so
-    ``q.sum`` is exact in any order, and |r - q| <= sigma 2**-53.
+    work vectorized over the block.  The error-free extraction of Rump, Ogita
+    and Oishi ("Accurate floating-point summation", SIAM J. Sci. Comput.
+    2008) splits each row x: with a power of two sigma > 2 n max|x|,
+    q = (sigma + x) - sigma and r = x - q are exact, every q is a multiple of
+    ulp(sigma)/2 and |sum q| < sigma, so tau = ``q.sum`` is exact in any
+    order, and |r| <= sigma 2**-53.
 
-    After level one the true sum is S = tau + sum r, tau exact.  In any order
-    rho = fl(sum r) is off by at most gamma_(n-1) sum|r| <= 2 n**2 2**-106
-    sigma (n < 2**50); B = fl(that) + 2**-1074 exceeds it, as sigma is a
-    power of two: the product is exact unless it underflows, losing less
-    than 2**-1074.  With s = fl(tau + rho) and e its exact TwoSum error,
-    |S - s| <= |e| + B, so fl(|e| + B) < g/2, g the smaller gap from |s| to
-    a float neighbour, puts S strictly nearer s than any other float (fl is
-    monotone, and g/2 is a float or 0): s is final.  s = 0 always fails.  The
-    other rows repeat levels on r - q until it is all zero; their few level
-    sums then add up exactly to S, which ``math.fsum`` rounds once.  Rows
-    the splitter cannot take go to ``math.fsum`` whole, so they give its
-    value or raise its exception.
+    So S = tau + sum r.  rho = fl(sum r) adds r in leaves of _LEAF entries,
+    then the k full leaves' sums and the rest's sum: whatever numpy's order
+    within a sum, each r_i meets at most c = min(n, _LEAF) + k roundings, so
+    rho is off by at most gamma_c sum|r| < 2 c n 2**-106 sigma (an addition
+    loses nothing to underflow).  B = fl(c n 2**-105 sigma) + 2**-1074 exceeds
+    it, sigma being a power of two: the product is exact unless it
+    underflows, losing less than 2**-1074.  With s = fl(tau + rho) and e its
+    exact TwoSum error, |S - s| <= |e| + B, so fl(|e| + B) < g/2, g the
+    smaller gap from |s| to a float neighbour, puts S strictly nearer s than
+    any other float (fl is monotone, and g/2 is a float or 0): s is final.
+    s = 0 always fails, and all-zero rows give +0.0 as fsum does.  The other
+    failing rows stream tau and then r, which add up exactly to S, through
+    ``math.fsum``.  Rows the splitter cannot take go to ``math.fsum`` whole,
+    so they give its value or raise its exception.
     """
     r = np.asarray(block, dtype=np.float64)
     if r.ndim != 2:
@@ -77,31 +81,25 @@ def exact_sums(block, scratch=None) -> np.ndarray:
         return out
     q = np.empty_like(r) if scratch is None else scratch
     top = np.abs(r, out=q).max(axis=1)
-    ok = top < _SPLIT_LIMIT / (2.0 * n)  # False for inf and nan too
-    for i in np.flatnonzero(~ok):
-        out[i] = math.fsum(r[i].tolist())
-        r[i], top[i] = 0.0, 0.0  # so its levels are all zero
-    levels = []
-    while top.any():
-        sigma = np.ldexp(1.0, np.frexp(2.0 * n * top)[1])[:, None]
-        np.add(r, sigma, out=q)
-        q -= sigma
-        levels.append(q.sum(axis=1))
-        r -= q
-        if len(levels) == 1:  # settle the certified rows; the rest go on in front of q
-            tau, rho = levels[0], r.sum(axis=1)
-            s = tau + rho
-            b = s - tau  # TwoSum: s + e == tau + rho exactly
-            e = np.abs((tau - (s - b)) + (rho - b)) + (
-                math.ldexp(float(n * n), -105) * sigma[:, 0] + 2.0 ** -1074)
-            done = ok & (e < 0.5 * (np.abs(s) - np.nextafter(np.abs(s), 0.0)))
-            out[done] = s[done]
-            rest = np.flatnonzero(ok & ~done)
-            r, q = np.take(r, rest, axis=0, out=q[:rest.size], mode="clip"), r[:rest.size]
-            levels = [tau[rest]]
-        top = np.abs(r, out=q).max(axis=1)
-    if levels:
-        out[rest] = [math.fsum(sums) for sums in np.array(levels).T.tolist()]
+    for i in np.flatnonzero(~(top < _SPLIT_LIMIT / (2.0 * n))):  # inf and nan too
+        out[i] = math.fsum(r[i])
+        r[i], top[i] = 0.0, 0.0  # an all-zero row, which keeps its fsum value
+    sigma = np.ldexp(1.0, np.frexp(2.0 * n * top)[1])[:, None]
+    np.add(r, sigma, out=q)
+    q -= sigma
+    tau = q.sum(axis=1)
+    r -= q
+    k = n // _LEAF
+    leaves = r[:, :k * _LEAF].reshape(rows, k, _LEAF).sum(axis=2)  # reshapes a view
+    rho = leaves.sum(axis=1) + r[:, k * _LEAF:].sum(axis=1)
+    s = tau + rho
+    b = s - tau  # TwoSum: s + e == tau + rho exactly
+    e = np.abs((tau - (s - b)) + (rho - b)) + (
+        math.ldexp(float((min(n, _LEAF) + k) * n), -105) * sigma[:, 0] + 2.0 ** -1074)
+    done = e < 0.5 * (np.abs(s) - np.nextafter(np.abs(s), 0.0))
+    out[done] = s[done]
+    for i in np.flatnonzero(~done & (top > 0.0)):
+        out[i] = math.fsum(itertools.chain((tau[i],), r[i]))
     return out
 
 

@@ -7,7 +7,7 @@ payloads count), or, where fsum raises, asks for the same exception type.
 """
 
 import math
-import threading
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -17,9 +17,12 @@ from hypothesis import strategies as st
 
 from contamclt import analytic
 from contamclt.analytic import exact_sums
+from contamclt.model import ContaminationScheme, StdNormal
+from contamclt.montecarlo import replicate
 
 TINY = 2.0 ** -1074
 MAX_EXP = 1022
+WIDE = (127, 128, 129, 256, 257, 300)
 
 
 def _fsum_or_error(row):
@@ -45,10 +48,14 @@ def _assert_matches_fsum(rows):
     assert got.view(np.int64).tolist() == np.array(want).view(np.int64).tolist()
 
 
-def _blocks(row, min_width=1):
-    """1-4 rows of one shared width drawn from a row strategy."""
-    return st.integers(min_width, 60).flatmap(
-        lambda n: st.lists(row(n), min_size=1, max_size=4))
+def _blocks(row, min_width=1, wide=False):
+    """1-4 rows of one shared width drawn from a row strategy: 1-60 entries,
+    or with ``wide`` also widths about the edges of exact_sums' leaves of
+    128 residuals."""
+    widths = st.integers(min_width, 60)
+    if wide:
+        widths = st.one_of(widths, st.sampled_from(WIDE))
+    return widths.flatmap(lambda n: st.lists(row(n), min_size=1, max_size=4))
 
 
 def _spread(n):
@@ -97,15 +104,16 @@ def _specials(n):
     return st.lists(st.one_of(special, st.floats(-1e10, 1e10)), min_size=n, max_size=n)
 
 
-@pytest.mark.parametrize("row", [_spread, _cancelling, _subnormal, _zeros],
+@pytest.mark.parametrize("row,wide", [(_spread, True), (_cancelling, True),
+                                      (_subnormal, False), (_zeros, False)],
                          ids=["spread", "cancelling", "subnormal", "zeros"])
 @given(data=st.data())
 @settings(max_examples=150, deadline=None)
-def test_matches_fsum(row, data):
-    _assert_matches_fsum(data.draw(_blocks(row)))
+def test_matches_fsum(row, wide, data):
+    _assert_matches_fsum(data.draw(_blocks(row, wide=wide)))
 
 
-@given(rows=_blocks(_ties, min_width=3))
+@given(rows=_blocks(_ties, min_width=3, wide=True))
 @settings(max_examples=150, deadline=None)
 def test_matches_fsum_on_half_ulp_ties(rows):
     _assert_matches_fsum(rows)
@@ -145,20 +153,14 @@ def test_fsum_exceptions_are_raised():
     assert exact_sums(np.array([[math.inf, 1.0]]))[0] == math.inf
 
 
-def test_level_loop_terminates_over_the_whole_exponent_range():
+def test_matches_fsum_over_the_whole_exponent_range():
     # every binade from 2**-1074 up, kept below the fallback limit so that
-    # the splitter, not fsum, handles the row (about 50 levels)
+    # the splitter, not fsum alone, handles the row
     powers = np.ldexp(1.0, np.arange(-1074, 1000))
     block = np.stack([np.concatenate([powers, -0.75 * powers]),
                       np.concatenate([powers[::-1], np.zeros_like(powers)])])
     assert 2 * block.shape[1] * np.abs(block).max() < 2.0 ** MAX_EXP
-    want = [math.fsum(row) for row in block.tolist()]  # before the call overwrites block
-    result = []
-    worker = threading.Thread(target=lambda: result.append(exact_sums(block)), daemon=True)
-    worker.start()
-    worker.join(timeout=30.0)
-    assert not worker.is_alive(), "level loop did not terminate"
-    assert result[0].view(np.int64).tolist() == np.array(want).view(np.int64).tolist()
+    _assert_matches_fsum(block.tolist())
 
 
 def test_shape_checks_and_empty_rows():
@@ -168,9 +170,9 @@ def test_shape_checks_and_empty_rows():
     assert exact_sums(np.zeros((0, 5))).shape == (0,)
 
 
-def _rows_past_level_one(monkeypatch, rows):
-    """``_assert_matches_fsum`` on the rows, and the level sums of each row
-    that the certificate left to the later levels (one fsum call per row)."""
+@pytest.fixture
+def fsum_calls(monkeypatch):
+    """The values of each ``math.fsum`` call that exact_sums makes."""
     calls = []
 
     def counted(values):
@@ -180,39 +182,66 @@ def _rows_past_level_one(monkeypatch, rows):
     patched = SimpleNamespace(**vars(math))
     patched.fsum = counted
     monkeypatch.setattr(analytic, "math", patched)
-    _assert_matches_fsum(rows)
-    monkeypatch.undo()
     return calls
 
 
-def test_long_row_with_a_small_total_takes_the_level_loop(monkeypatch):
-    # one outlier cancels 99 999 entries of mean 3 down to a total near 0.1:
-    # it sets sigma, and the error bound of the level-1 residual sum dwarfs
-    # half an ulp of the total
+def _small_total_row():
+    """One outlier cancels 99 999 entries of mean 3 down to a total near 0.1:
+    it sets sigma, and the error bound of the residual sum dwarfs half an
+    ulp of the total."""
     row = np.random.default_rng(2024).standard_normal(100_000) + 3.0
     row[31_337] = 0.0
     row[31_337] = 0.1 - math.fsum(row)
     assert abs(math.fsum(row)) < 1.0 < 1e5 < abs(row[31_337])
-    (sums,) = _rows_past_level_one(monkeypatch, [row.tolist()])
-    assert len(sums) > 1
+    return row
 
 
-def test_near_ties_after_level_one_take_the_level_loop(monkeypatch):
-    # level one leaves the two small entries as residuals: s = fl(tau + rho)
+def test_long_row_with_a_small_total_reaches_the_fsum_fallback(fsum_calls):
+    row = _small_total_row()
+    _assert_matches_fsum([row.tolist()])
+    assert [len(values) for values in fsum_calls] == [1 + row.size]  # tau, then r
+
+
+def test_fsum_fallback_streams_the_row():
+    # fsum reads tau and the residuals one value at a time: a list of the
+    # row's 100 000 floats would take more than 3 MB
+    block = _small_total_row()[None, :]
+    scratch = np.empty_like(block)
+    tracemalloc.start()
+    try:
+        exact_sums(block, scratch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 1024
+
+
+def test_near_ties_reach_the_fsum_fallback(fsum_calls):
+    # the split leaves the two small entries as residuals: s = fl(tau + rho)
     # is then exactly half an ulp from the true sum, or a hair nearer or
-    # farther, so only the later levels can round it
+    # farther, so only fsum can round it
     u = 2.0 ** -53
     rows = [[1.5, u, 0.0], [1.5, u, u ** 2], [1.5, u, -u ** 2],
             [1.0, u, 0.0], [1.0, u, u ** 2], [1.0, -u / 2, -u ** 2]]
-    assert len(_rows_past_level_one(monkeypatch, rows)) == len(rows)
+    _assert_matches_fsum(rows)
+    assert [len(values) for values in fsum_calls] == [4] * len(rows)
 
 
-def test_zero_sums_are_never_certified(monkeypatch):
-    # s = 0 fails the certificate, so the three rows that sum to zero go on
-    # to the next level (the cancelling row needs it) and give +0.0 as fsum
-    # does, between rows that pass it
+def test_zero_sums_are_never_certified(fsum_calls):
+    # s = 0 fails the certificate: the two all-zero rows give +0.0 with no
+    # fsum call, and the cancelling row goes to fsum as tau and its four
+    # residuals, between rows that pass it
     rows = [[0.0, -0.0, 0.0, 0.0], [1.0, -0.0, 2.0, 0.5], [-0.0, -0.0, -0.0, -0.0],
             [1.0, -1.0, 2.0 ** -60, -(2.0 ** -60)], [-0.0, 0.0, -0.0, 3.25]]
-    assert [len(sums) for sums in _rows_past_level_one(monkeypatch, rows)] == [2, 2, 2]
     got = exact_sums(np.array(rows))
     assert got.view(np.int64).tolist() == np.array([0.0, 3.5, 0.0, 0.0, 3.25]).view(np.int64).tolist()
+    assert [len(values) for values in fsum_calls] == [5]
+
+
+def test_long_replicate_rows_need_no_fsum(fsum_calls):
+    # one inflated draw sets sigma for its whole row of 100 000; summing the
+    # residuals in leaves keeps the bound below half an ulp of the row sum
+    # for every one of these rows
+    scheme = ContaminationScheme.power_law(0.2, 1.0, 20.0, 1.0)
+    replicate(20, 100_000, scheme, StdNormal(), 0.0, 2718281828)
+    assert fsum_calls == []

@@ -581,3 +581,16 @@ def test_bench_pair_summary_reads_medians_quartiles_and_wins():
     _, single, _ = _bench_pair_script().summary([pair(3.0, 2.0)])
     assert single == {"base": {"wall_s": [3.0, 3.0], "cpu_s": [1.0, 1.0]},
                       "change": {"wall_s": [2.0, 2.0], "cpu_s": [1.0, 1.0]}}
+
+
+def test_bench_pair_within_bounds_reads_each_metric_against_its_bound():
+    # the no-regression check: the change's median may be worse than the
+    # base's by at most the bound, a fraction of the base's median
+    end_to_end = [{"name": "wall_s", "better": "lower", "bound": 0.25},
+                  {"name": "cpu_s", "better": "lower", "bound": 0.25},
+                  {"name": "peak_rss_mb", "better": "lower", "bound": 0.1},
+                  {"name": "rate", "better": "higher", "bound": 0.1}]
+    medians = {"base": {"wall_s": 2.0, "cpu_s": 2.0, "peak_rss_mb": 60.0, "rate": 10.0},
+               "change": {"wall_s": 2.5, "cpu_s": 2.6, "peak_rss_mb": 54.0, "rate": 8.9}}
+    assert _bench_pair_script().within_bounds(medians, end_to_end) == {
+        "wall_s": True, "cpu_s": False, "peak_rss_mb": True, "rate": False}
