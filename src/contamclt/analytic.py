@@ -11,8 +11,8 @@ rule that produced them (see ``Trend`` and the index-estimate notes below).
 
 ``grid_walk`` is the one pass over k = 1..max(n_grid) that the conditions,
 the index bound and the index estimate share through their ``walk``
-argument: each chunk of weights is fetched once, and the per-index arrays
-it keeps feed the Lindeberg sums, which are evaluated in cache-sized blocks.
+argument; it keeps only the ``ArrayStats``.  Each Lindeberg row fetches its
+own weights and is evaluated in cache-sized blocks.
 """
 
 from __future__ import annotations
@@ -119,20 +119,13 @@ class ArrayStats:
     max_sigma2: float          # max_k sigma_k^2
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class GridWalk:
-    """ArrayStats at every grid point and the per-index arrays up to the top.
-
-    ``ps2``, ``sigma`` and ``q`` hold p_k sigma_k^2, sigma_k and 1 - p_k for
-    k = 1..grid[-1]; a row n of the Lindeberg sums reads their first n entries.
-    """
+    """ArrayStats at every point of the grid a scheme was walked on."""
 
     scheme: ContaminationScheme = field(repr=False)
     grid: tuple[int, ...]
     stats: tuple[ArrayStats, ...]
-    ps2: np.ndarray = field(repr=False)
-    sigma: np.ndarray = field(repr=False)
-    q: np.ndarray = field(repr=False)
 
 
 def grid_walk(scheme: ContaminationScheme, n_grid) -> GridWalk:
@@ -141,15 +134,12 @@ def grid_walk(scheme: ContaminationScheme, n_grid) -> GridWalk:
     if not grid or grid[0] < 1 or any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError(f"sample sizes must be increasing and >= 1, got {grid}")
     top = grid[-1]
-    ps2_all, sigma, q = np.empty(top), np.empty(top), np.empty(top)
     stats = []
     run = (0.0, 0.0, 0.0, 1.0)  # sum p, sum p s2, max p s2, max s2 over full chunks
     for lo in range(0, top, _CHUNK):
         p, s2 = scheme.weights(min(lo + _CHUNK, top), start=lo + 1)
         hi = lo + p.size
-        ps2 = np.multiply(p, s2, out=ps2_all[lo:hi])
-        np.sqrt(s2, out=sigma[lo:hi])
-        np.subtract(1.0, p, out=q[lo:hi])
+        ps2 = p * s2
         points = [n for n in grid if lo < n <= hi]
         full = hi - lo == _CHUNK
         for n in points + ([hi] if full and hi not in points else []):
@@ -162,7 +152,7 @@ def grid_walk(scheme: ContaminationScheme, n_grid) -> GridWalk:
                 stats.append(ArrayStats(n, s2_n, acc[1] / n, acc[2] / s2_n, acc[3]))
         if full:
             run = acc
-    return GridWalk(scheme, grid, tuple(stats), ps2_all, sigma, q)
+    return GridWalk(scheme, grid, tuple(stats))
 
 
 def array_stats(scheme: ContaminationScheme, n: int) -> ArrayStats:
@@ -300,14 +290,18 @@ def _lindeberg_values(walk: GridWalk, stats: ArrayStats, dist: BaseDistribution,
     inflated term (thresholds eps*s_n/sigma_k, weights p_k sigma_k^2), over
     s_n^2; it lies in [0, 1] and is nonincreasing in eps.
 
-    Each row's tail moments fill one buffer block by block; one ``np.dot``
-    over the whole row reduces it.  A block whose thresholds are all at least
-    ``dist.zero_from`` is zero-filled; none exceeds the checked eps * s_n.
+    Each row fetches its weights once, bit-equal to the walk's chunks, and
+    overwrites them with p_k sigma_k^2 and s_n / sigma_k.  Its tail moments
+    fill one buffer block by block; one ``np.dot`` over the whole row reduces
+    it.  A block whose thresholds are all at least ``dist.zero_from`` is
+    zero-filled; none exceeds the checked eps * s_n.
     """
     n = stats.n
     s_n = math.sqrt(stats.s2_n)
-    base_weight = float(np.sum(walk.q[:n]))  # sum of (1 - p_k)
-    threshold_scale = s_n / walk.sigma[:n]   # per-index threshold is eps * s_n / sigma_k
+    p, s2 = walk.scheme.weights(n)
+    base_weight = float(np.sum(1.0 - p))  # sum of (1 - p_k)
+    ps2 = np.multiply(p, s2, out=p)
+    threshold_scale = np.divide(s_n, np.sqrt(s2, out=s2), out=s2)  # s_n / sigma_k
     starts = range(0, n, _BLOCK)
     floors = np.minimum.reduceat(threshold_scale, starts).tolist()
     row, t = np.empty(n), np.empty(min(n, _BLOCK))
@@ -321,7 +315,7 @@ def _lindeberg_values(walk: GridWalk, stats: ArrayStats, dist: BaseDistribution,
             else:
                 dist.truncated_second_moment(
                     np.multiply(eps, threshold_scale[lo:hi], out=t[:hi - lo]), out=row[lo:hi])
-        term_inflated = float(np.dot(walk.ps2[:n], row))
+        term_inflated = float(np.dot(ps2, row))
         out.append(min(max((term_base + term_inflated) / stats.s2_n, 0.0), 1.0))
     return out
 

@@ -12,6 +12,7 @@ config produces byte-identical CSV and JSON.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import os
@@ -258,7 +259,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     index_estimate = timed("index estimate", lindeberg_index_estimate(
         config.scheme, dist, config.n_grid, config.eps_grid, walk))
     index_bound = timed("bound", lindeberg_upper_bound(config.scheme, config.n_grid, walk))
-    del walk  # the replicate loop does not need the grid's per-index arrays
 
     result = timed("replicate", replicate(config.reps, config.n, config.scheme, dist,
                                           config.mu, config.seed, workers=config.workers))
@@ -304,7 +304,7 @@ def _check_targets(config: ExperimentConfig, targets: dict) -> None:
             )
 
 
-def _write_atomic(path: str, data: str, force: bool) -> None:
+def _write_atomic(path: str, chunks, force: bool) -> None:
     if not force and os.path.exists(path):
         raise FileExistsError(f"refusing to overwrite {path!r}; pass force to allow")
     directory = os.path.dirname(os.path.abspath(path))
@@ -312,7 +312,7 @@ def _write_atomic(path: str, data: str, force: bool) -> None:
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
     try:
         with os.fdopen(fd, "w", newline="") as handle:
-            handle.write(data)
+            handle.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -328,12 +328,14 @@ def emit_csv(report: ExperimentReport, path: str, force: bool = False) -> None:
     """QQ points as ``t,theoretical,empirical`` rows at full precision."""
     lines = ["t,theoretical,empirical"]
     lines += [f"{pt.t!r},{pt.theoretical!r},{pt.empirical!r}" for pt in report.qq]
-    _write_atomic(path, "\n".join(lines) + "\n", force)
+    _write_atomic(path, (line + "\n" for line in lines), force)
 
 
 def emit_json(report: ExperimentReport, path: str, force: bool = False) -> None:
     """The full report as JSON; ``json.loads`` reads every float back bit for bit."""
-    _write_atomic(path, json.dumps(report.to_dict(), indent=2) + "\n", force)
+    # json.dumps with an indent runs this same Python encoder, so no byte moves
+    encoded = json.JSONEncoder(indent=2).iterencode(report.to_dict())
+    _write_atomic(path, itertools.chain(encoded, ("\n",)), force)
 
 
 def emit_svg(report: ExperimentReport, path: str, force: bool = False) -> None:
@@ -367,7 +369,7 @@ def emit_svg(report: ExperimentReport, path: str, force: bool = False) -> None:
         f'font-size="18">Lindeberg index: {report.annotation_index():.4f}</text>'
     )
     parts.append("</svg>")
-    _write_atomic(path, "\n".join(parts) + "\n", force)
+    _write_atomic(path, (part + "\n" for part in parts), force)
 
 
 _EMITTERS = {"csv": emit_csv, "svg": emit_svg, "json": emit_json}

@@ -85,7 +85,8 @@ class ContaminationScheme:
         return None
 
     def weights(self, n: int, start: int = 1) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized (p_k, sigma2_k) for k = start..n inclusive."""
+        """Vectorized (p_k, sigma2_k) for k = start..n inclusive, as fresh arrays
+        that the caller may overwrite."""
         if start < 1 or n < start:
             raise ValueError(f"need 1 <= start <= n, got start={start}, n={n}")
         if self.kind is SchemeKind.UNCONTAMINATED:

@@ -1,6 +1,7 @@
 """Cumulative statistics, limit conditions, Lindeberg diagnostics, KS."""
 
 import math
+import tracemalloc
 from statistics import NormalDist
 
 import numpy as np
@@ -78,17 +79,39 @@ def test_grid_walk_points_equal_fresh_stats():
 def test_grid_walk_across_chunk_boundaries():
     # weights are fetched in 2**16-wide chunks; put grid points on, just
     # before and just after chunk boundaries, several to a chunk and none
-    scheme = ContaminationScheme.power_law(0.2, 0.6, 3.0, 0.8)
     chunk = analytic._CHUNK
-    for grid in [(chunk - 1, chunk), (chunk, chunk + 1), (10, chunk + 10),
-                 (chunk + 5, 3 * chunk + 7), (100, 5000, chunk, 2 * chunk + 3)]:
-        walk = grid_walk(scheme, grid)
-        assert walk.grid == grid
-        assert walk.stats == tuple(array_stats(scheme, n) for n in grid)
-        # the kept per-index arrays are those of one weights call over the row
-        p, s2 = scheme.weights(grid[-1])
-        for kept, direct in ((walk.ps2, p * s2), (walk.sigma, np.sqrt(s2)), (walk.q, 1.0 - p)):
-            assert np.array_equal(kept.view(np.int64), direct.view(np.int64))
+    rng = np.random.default_rng(15)
+    table = ContaminationScheme.tabular(rng.random(3 * chunk + 7),
+                                        1.0 + 50.0 * rng.random(3 * chunk + 7))
+    for scheme in (ContaminationScheme.power_law(0.2, 0.6, 3.0, 0.8), table):
+        for grid in [(chunk - 1, chunk), (chunk, chunk + 1), (10, chunk + 10),
+                     (chunk + 5, 3 * chunk + 7), (100, 5000, chunk, 2 * chunk + 3)]:
+            walk = grid_walk(scheme, grid)
+            assert walk.grid == grid
+            assert walk.stats == tuple(array_stats(scheme, n) for n in grid)
+            # the walk's chunks and a Lindeberg row's one whole-row fetch
+            # must hold the same bits, or the Lindeberg sums would move
+            top = grid[-1]
+            chunks = [scheme.weights(min(lo + chunk, top), start=lo + 1)
+                      for lo in range(0, top, chunk)]
+            for chunked, whole in zip(zip(*chunks), scheme.weights(top)):
+                assert np.array_equal(np.concatenate(chunked).view(np.int64),
+                                      whole.view(np.int64))
+
+
+@pytest.mark.parametrize("walk, top", [(array_stats, 10 ** 6),
+                                       (grid_walk, tuple(2 ** j for j in range(22)))])
+def test_walk_memory_does_not_grow_with_the_grid_top(walk, top):
+    # a walk keeps only its ArrayStats and chunk temporaries of 2**16
+    # entries; per-index arrays up to the top would take 8 B per index each
+    scheme = ContaminationScheme.power_law(0.2, 1.0, 20.0, 1.0)
+    tracemalloc.start()
+    try:
+        walk(scheme, top)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
 
 
 def test_walk_for_another_scheme_or_grid_is_refused():

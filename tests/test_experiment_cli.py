@@ -5,9 +5,11 @@ import io
 import json
 import re
 import tempfile
+import tracemalloc
 import warnings
 import xml.etree.ElementTree as ET
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -77,8 +79,9 @@ def test_json_roundtrip_equal(small_report):
 
 def test_run_experiment_walks_the_grid_once(monkeypatch):
     # conditions, bound and index estimate share one chunk-aligned walk, so
-    # the grid's weights are fetched exactly once per chunk; the replicate
-    # loop's own calls (row n = 100) are left out of the count
+    # the grid's weights are fetched exactly once per chunk; then each
+    # Lindeberg row (the top half of the grid) fetches its own whole row, and
+    # the replicate loop fetches row n = 100 for s_n and for its draws
     n_grid = tuple(9000 * 2 ** j for j in range(6))  # top 288000: five chunks
     calls = []
     weights = ContaminationScheme.weights
@@ -91,9 +94,28 @@ def test_run_experiment_walks_the_grid_once(monkeypatch):
     config = fast_config(n=100, reps=20, n_grid=n_grid, dist="uniform")
     run_experiment(config)
     chunk, top = analytic._CHUNK, n_grid[-1]
-    walk = [call for call in calls if call[1] != config.n]
-    assert len(walk) == -(-top // chunk) == 5
-    assert walk == [(lo + 1, min(lo + chunk, top)) for lo in range(0, top, chunk)]
+    walk = [(lo + 1, min(lo + chunk, top)) for lo in range(0, top, chunk)]
+    assert len(walk) == 5
+    rows = [(1, n) for n in n_grid[len(n_grid) // 2:]]
+    assert calls == walk + rows + [(1, config.n), (1, config.n)]
+
+
+def test_emit_json_streams_the_report(small_report, tmp_path):
+    # a 32 000-row table echoes as about 1.6 MB of JSON; the encoder's chunks
+    # go straight to the file instead of into one string of that size
+    rng = np.random.default_rng(32000)
+    table = ContaminationScheme.tabular(rng.random(32000), 1.0 + 99.0 * rng.random(32000))
+    report = replace(small_report, config=replace(small_report.config, scheme=table))
+    path = tmp_path / "report.json"
+    tracemalloc.start()
+    try:
+        emit_json(report, str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.stat().st_size > 1.5e6
+    assert path.read_text() == json.dumps(report.to_dict(), indent=2) + "\n"
+    assert peak < 2 ** 20
 
 
 def test_uncontaminated_report_has_no_classification(tmp_path):
