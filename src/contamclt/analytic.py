@@ -135,14 +135,13 @@ def grid_walk(scheme: ContaminationScheme, n_grid) -> GridWalk:
         raise ValueError(f"sample sizes must be increasing and >= 1, got {grid}")
     top = grid[-1]
     stats = []
-    run = (0.0, 0.0, 0.0, 1.0)  # sum p, sum p s2, max p s2, max s2 over full chunks
+    run = (0.0, 0.0, 0.0, 1.0)  # sum p, sum p s2, max p s2, max s2 up to lo
     for lo in range(0, top, _CHUNK):
         p, s2 = scheme.weights(min(lo + _CHUNK, top), start=lo + 1)
         hi = lo + p.size
         ps2 = p * s2
         points = [n for n in grid if lo < n <= hi]
-        full = hi - lo == _CHUNK
-        for n in points + ([hi] if full and hi not in points else []):
+        for n in points + ([hi] if hi not in points else []):
             m = n - lo
             chunk_p, chunk_ps2 = exact_sums(np.stack([p[:m], ps2[:m]])).tolist()
             acc = (run[0] + chunk_p, run[1] + chunk_ps2,
@@ -150,8 +149,7 @@ def grid_walk(scheme: ContaminationScheme, n_grid) -> GridWalk:
             if n in points:
                 s2_n = (float(n) - acc[0]) + acc[1]
                 stats.append(ArrayStats(n, s2_n, acc[1] / n, acc[2] / s2_n, acc[3]))
-        if full:
-            run = acc
+        run = acc
     return GridWalk(scheme, grid, tuple(stats))
 
 

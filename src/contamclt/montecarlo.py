@@ -1,8 +1,8 @@
 """Replication of the standardized sample mean and QQ diagnostics.
 
-A run draws R independent replicates of T_n = (n/s_n) * (mean(X) - mu) and
-measures their Kolmogorov distance to the standard normal; ``qq_points``
-reads QQ points (Phi^-1(t), E^-1(t)) off the same sample, sorted once.
+A run sums R independent replicate rows, then scales them once to T_n =
+(n/s_n) * (mean(X) - mu), and measures their Kolmogorov distance to N(0, 1);
+``qq_points`` reads QQ points (Phi^-1(t), E^-1(t)) off the same sample.
 
 Replicate i always draws from stream i split from the master seed, and its
 sum is correctly rounded (``analytic.exact_sums``, bit for bit ``math.fsum``
@@ -56,9 +56,10 @@ _BLOCK_ELEMS = 1 << 16
 
 
 def _replicate_chunk(args) -> np.ndarray:
-    scheme, dist, n, s_n, master_seed, lo, hi = args
-    p, s2 = scheme.weights(n)
-    sigma = np.sqrt(s2)
+    """Exact sums of replicate rows lo..hi-1, unscaled: ``replicate`` divides by s_n."""
+    scheme, dist, n, master_seed, lo, hi = args
+    p, sigma = scheme.weights(n)
+    np.sqrt(sigma, out=sigma)
     step = max(1, _BLOCK_ELEMS // n)
     batch = _rng.stream_batch(step)
     block, u = np.empty((2, min(step, hi - lo), n))  # draws, their uniforms, sum scratch
@@ -69,7 +70,7 @@ def _replicate_chunk(args) -> np.ndarray:
         for start in range(first, last, step):
             k = min(step, last - start)
             rows = draw_centered_row(p, sigma, dist, gens, block[:k], u[:k])
-            out[start - lo:start - lo + k] = exact_sums(rows, u[:k]) / s_n
+            out[start - lo:start - lo + k] = exact_sums(rows, u[:k])
     return out
 
 
@@ -86,8 +87,9 @@ def replicate(R: int, n: int, scheme: ContaminationScheme, dist: BaseDistributio
     """R independent standardized statistics from per-replicate split streams.
 
     The result is a pure function of (R, n, scheme, dist, mu, master_seed);
-    ``workers`` only distributes the replicate loop and never changes values.
-    The pool never holds more processes than there are tasks or usable CPUs.
+    ``workers`` spreads the row sums over at most that many processes, never
+    more than tasks or usable CPUs, and never changes a value.  s_n, a walk
+    over k = 1..n that the draws do not need, comes after them.
     """
     if R < 1:
         raise ValueError(f"replication count must be >= 1, got {R}")
@@ -96,17 +98,17 @@ def replicate(R: int, n: int, scheme: ContaminationScheme, dist: BaseDistributio
     if workers < 1:
         raise ValueError(f"worker count must be >= 1, got {workers}")
 
-    s_n = math.sqrt(array_stats(scheme, n).s2_n)
     pool_size = min(workers, R, _usable_cpus())
     if pool_size == 1:
-        samples = _replicate_chunk((scheme, dist, n, s_n, master_seed, 0, R))
+        samples = _replicate_chunk((scheme, dist, n, master_seed, 0, R))
     else:
         step = -(-R // (4 * pool_size))
-        tasks = [(scheme, dist, n, s_n, master_seed, lo, min(lo + step, R))
+        tasks = [(scheme, dist, n, master_seed, lo, min(lo + step, R))
                  for lo in range(0, R, step)]
         with ProcessPoolExecutor(max_workers=pool_size) as pool:
             samples = np.concatenate(list(pool.map(_replicate_chunk, tasks)))
-
+    s_n = math.sqrt(array_stats(scheme, n).s2_n)
+    samples /= s_n
     return ReplicationResult(samples, s_n, kolmogorov_distance_to_normal(samples))
 
 

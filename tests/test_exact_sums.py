@@ -227,6 +227,56 @@ def test_near_ties_reach_the_fsum_fallback(fsum_calls):
     assert [len(values) for values in fsum_calls] == [4] * len(rows)
 
 
+_UNIT_BITS = 1075  # every float is a whole number of units of 2**-1075
+
+
+def _units(x: float) -> int:
+    p, q = x.as_integer_ratio()
+    return p * ((1 << _UNIT_BITS) // q)
+
+
+def _crafted_rows(rows=6000, width=1000, seed=2015):
+    """Rows of ``width`` entries uniform(-1, 1) * 2**-j, j < 60, then two that
+    put the exact sum on a midpoint between floats and a third, +-2**-k with
+    84 <= k <= 102, that moves it just off.  Random rows almost never come
+    this near a midpoint, so a cut certificate bound still passes them."""
+    rs = np.random.default_rng(seed)
+    scales = 2.0 ** -np.arange(60)
+    body = rs.uniform(-1.0, 1.0, (rows, width)) * scales[rs.integers(0, 60, (rows, width))]
+    # every entry is a multiple of 2**-111 (uniform's of 2**-52), so three
+    # 37-bit limbs of body * 2**111 each sum exactly in int64
+    scaled = body * 2.0 ** 111
+    assert np.array_equal(scaled, np.trunc(scaled))
+    limbs = []
+    for shift in (74, 37):
+        limb = np.trunc(scaled * 2.0 ** -shift)
+        scaled -= limb * 2.0 ** shift
+        limbs.append(limb.astype(np.int64).sum(axis=1).tolist())
+    limbs.append(scaled.astype(np.int64).sum(axis=1).tolist())
+    tails = np.ldexp(rs.choice([-1.0, 1.0], rows), -rs.integers(84, 103, rows))
+    block = np.empty((rows, width + 3))
+    block[:, :width] = body
+    for row, hi, mid, lo, tail in zip(block, *limbs, tails.tolist()):
+        total = ((hi << 74) + (mid << 37) + lo) << (_UNIT_BITS - 111)
+        s = total / (1 << _UNIT_BITS)  # correctly rounded
+        gap = (_units(s) + _units(math.nextafter(s, math.inf))) // 2 - total
+        a = gap / (1 << _UNIT_BITS)
+        b = (gap - _units(a)) / (1 << _UNIT_BITS)
+        assert _units(a) + _units(b) == gap
+        row[width:] = a, b, tail
+    return block
+
+
+def test_near_midpoint_rows_need_the_whole_certificate_bound():
+    # the residual sum's rounding error can exceed the +-2**-k that decides
+    # each row's rounding: only a bound that covers that error sends these
+    # rows to fsum.  With B cut to 2**-1074, about one row in six comes out
+    # one ulp off
+    block = _crafted_rows()
+    want = [math.fsum(row.tolist()) for row in block]
+    assert exact_sums(block).view(np.int64).tolist() == np.array(want).view(np.int64).tolist()
+
+
 def test_zero_sums_are_never_certified(fsum_calls):
     # s = 0 fails the certificate: the two all-zero rows give +0.0 with no
     # fsum call, and the cancelling row goes to fsum as tau and its four

@@ -3,8 +3,14 @@
 import importlib.util
 import io
 import json
+import os
 import re
+import resource
+import signal
+import subprocess
+import sys
 import tempfile
+import time
 import tracemalloc
 import warnings
 import xml.etree.ElementTree as ET
@@ -81,7 +87,7 @@ def test_run_experiment_walks_the_grid_once(monkeypatch):
     # conditions, bound and index estimate share one chunk-aligned walk, so
     # the grid's weights are fetched exactly once per chunk; then each
     # Lindeberg row (the top half of the grid) fetches its own whole row, and
-    # the replicate loop fetches row n = 100 for s_n and for its draws
+    # the replicate loop fetches row n = 100 for its draws and then for s_n
     n_grid = tuple(9000 * 2 ** j for j in range(6))  # top 288000: five chunks
     calls = []
     weights = ContaminationScheme.weights
@@ -320,6 +326,44 @@ def test_cli_out_of_memory_is_a_validation_error(monkeypatch, capsys):
     assert capsys.readouterr().err == (
         "error: Unable to allocate 745. GiB for an array with shape (100000000000,) "
         "and data type float64\n")
+
+
+# Sets a 3 GB address-space limit and then becomes ``python -m contamclt.cli``;
+# exec keeps the limit, and no code runs between fork and exec.
+_LIMITED_CLI = ("import os, resource, sys; "
+                "resource.setrlimit(resource.RLIMIT_AS, (3 * 10 ** 9, 3 * 10 ** 9)); "
+                "os.execv(sys.executable, [sys.executable, '-m', 'contamclt.cli', *sys.argv[1:]])")
+
+
+@pytest.mark.skipif(not hasattr(resource, "RLIMIT_AS"), reason="no RLIMIT_AS on this platform")
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("n", [10 ** 9, 10 ** 11])
+def test_cli_refuses_an_n_too_large_to_hold_at_once(n, workers, tmp_path):
+    # a row of n = 10**9 needs 8 GB: its weights must fail to allocate before
+    # s_n's walk over k = 1..n, which takes minutes to hours at these n.  One
+    # BLAS thread keeps the child's address space at import the same on any
+    # machine; its own session lets a timeout kill the pool workers with it.
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(root / "src"),
+                                                       os.environ.get("PYTHONPATH")]))}
+    start = time.perf_counter()
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _LIMITED_CLI, "--config", str(root / "configs" / "fig3.cfg"),
+         "--n", str(n), "--reps", "10", "--workers", str(workers), "--formats", "json",
+         "--out", str(tmp_path)],
+        cwd=root, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        start_new_session=True)
+    try:
+        _, err = proc.communicate(timeout=10)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail(f"n={n} was not refused within 10 s")
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == EXIT_VALIDATION, err
+    assert err.count("error:") == 1 and "Unable to allocate" in err, err
+    assert elapsed < 10.0
 
 
 def test_cli_missing_parameters_exit_code(capsys):

@@ -252,6 +252,18 @@ def test_block_draw_equals_one_row_calls_and_takes_one_generator_per_row(dist):
     assert np.array_equal(block.view(np.int64), np.array(rows).view(np.int64))
 
 
+def test_an_index_whose_uniform_equals_p_takes_the_base_branch():
+    # index k is inflated when u_k < p_k, an event of probability p_k; with
+    # each p_k set to the very uniform the stream draws there, none is
+    n = 50
+    p = np.random.default_rng(8).random(n)
+    scheme = ContaminationScheme.tabular(p.tolist(), [4.0] * n)
+    row = _row(scheme, n, StdNormal(), np.random.default_rng(8))
+    manual = np.random.default_rng(8)
+    manual.random(n)
+    assert row.tolist() == manual.standard_normal(n).tolist()
+
+
 def test_draw_same_seed_bitwise_identical():
     scheme = ContaminationScheme.power_law(0.5, 1.0, 9.0, 1.0)
     dist = StdLaplace()
