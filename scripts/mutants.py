@@ -1,8 +1,7 @@
 #!/usr/bin/env python3
 """Check that the tests kill a fixed list of one-line source mutants.
 
-    python3 scripts/mutants.py            # every mutant
-    python3 scripts/mutants.py drop-B     # the named ones
+    python3 scripts/mutants.py
 
 The working tree (without ``.git`` and build or test leftovers) is copied
 once into a temporary directory.  Each mutant replaces one piece of text,
@@ -89,22 +88,15 @@ def verdict(tree: str, mutant: Mutant) -> str:
     return {0: "SURVIVED", 1: "killed"}.get(code, f"pytest exit {code}")
 
 
-def main(argv: list[str]) -> int:
-    known = {m.name: m for m in MUTANTS}
-    unknown = [name for name in argv if name not in known]
-    if unknown:
-        print(f"unknown mutant(s): {', '.join(unknown)}; choose from {', '.join(known)}",
-              file=sys.stderr)
-        return 2
-    chosen = [known[name] for name in argv] or list(MUTANTS)
+def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         tree = os.path.join(tmp, "tree")
         shutil.copytree(ROOT, tree, ignore=IGNORED)
-        tests = sorted({test for m in chosen for test in m.tests})
+        tests = sorted({test for m in MUTANTS for test in m.tests})
         if pytest_code(tree, tests) != 0:
             print("the named tests fail on the unmutated tree", file=sys.stderr)
             return 2
-        results = [(m.name, verdict(tree, m)) for m in chosen]
+        results = [(m.name, verdict(tree, m)) for m in MUTANTS]
     for name, result in results:
         print(f"{name}: {result}")
     survived = [name for name, result in results if result != "killed"]
@@ -113,4 +105,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

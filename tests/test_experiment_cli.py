@@ -5,12 +5,10 @@ import io
 import json
 import os
 import re
-import resource
 import signal
 import subprocess
 import sys
 import tempfile
-import time
 import tracemalloc
 import warnings
 import xml.etree.ElementTree as ET
@@ -335,7 +333,6 @@ _LIMITED_CLI = ("import os, resource, sys; "
                 "os.execv(sys.executable, [sys.executable, '-m', 'contamclt.cli', *sys.argv[1:]])")
 
 
-@pytest.mark.skipif(not hasattr(resource, "RLIMIT_AS"), reason="no RLIMIT_AS on this platform")
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("n", [10 ** 9, 10 ** 11])
 def test_cli_refuses_an_n_too_large_to_hold_at_once(n, workers, tmp_path):
@@ -343,11 +340,13 @@ def test_cli_refuses_an_n_too_large_to_hold_at_once(n, workers, tmp_path):
     # s_n's walk over k = 1..n, which takes minutes to hours at these n.  One
     # BLAS thread keeps the child's address space at import the same on any
     # machine; its own session lets a timeout kill the pool workers with it.
+    resource = pytest.importorskip("resource")
+    if not hasattr(resource, "RLIMIT_AS"):
+        pytest.skip("no RLIMIT_AS on this platform")
     root = Path(__file__).resolve().parent.parent
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
            "PYTHONPATH": os.pathsep.join(filter(None, [str(root / "src"),
                                                        os.environ.get("PYTHONPATH")]))}
-    start = time.perf_counter()
     proc = subprocess.Popen(
         [sys.executable, "-c", _LIMITED_CLI, "--config", str(root / "configs" / "fig3.cfg"),
          "--n", str(n), "--reps", "10", "--workers", str(workers), "--formats", "json",
@@ -360,10 +359,8 @@ def test_cli_refuses_an_n_too_large_to_hold_at_once(n, workers, tmp_path):
         os.killpg(proc.pid, signal.SIGKILL)
         proc.communicate()
         pytest.fail(f"n={n} was not refused within 10 s")
-    elapsed = time.perf_counter() - start
     assert proc.returncode == EXIT_VALIDATION, err
     assert err.count("error:") == 1 and "Unable to allocate" in err, err
-    assert elapsed < 10.0
 
 
 def test_cli_missing_parameters_exit_code(capsys):
