@@ -208,14 +208,14 @@ def load_tabular_scheme(path: str) -> ContaminationScheme:
         header = next(reader, None)
         if header is None or [h.strip() for h in header[:2]] != ["p_k", "sigma2_k"]:
             raise ConfigError(f"{path}: expected header 'p_k,sigma2_k', got {header!r}")
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
             if not row or all(not cell.strip() for cell in row):
                 continue
             try:
                 p_col.append(float(row[0]))
                 s_col.append(float(row[1]))
             except (IndexError, ValueError):
-                raise ConfigError(f"{path}:{lineno}: malformed row {row!r}") from None
+                raise ConfigError(f"{path}:{reader.line_num}: malformed row {row!r}") from None
     except csv.Error as exc:  # a field longer than csv.field_size_limit()
         raise ConfigError(f"{path}:{reader.line_num}: {exc}") from None
     try:

@@ -9,9 +9,8 @@ sum is correctly rounded (``analytic.exact_sums``, bit for bit ``math.fsum``
 of the row), so a run is reproducible and independent of how replicates are
 scheduled across workers or stacked into reduction blocks.  A block is drawn
 in place (``model.draw_centered_row``), then selected and summed in place,
-once each; the streams of whole blocks (``rng.stream_batch``) come from one
-``rng.stream_generator`` call, which writes each row's PCG64 state into one
-reused generator.
+once each; the streams of a whole task come from one ``rng.stream_generator``
+call, which writes each row's PCG64 state into one reused generator.
 """
 
 from __future__ import annotations
@@ -53,6 +52,9 @@ class ReplicationResult:
 # Replicate rows are stacked into blocks of at most this many elements (at
 # least one row) and each block is reduced by one ``exact_sums`` call.
 _BLOCK_ELEMS = 1 << 16
+# A task holds at most this many replicates: deriving their streams peaks at
+# about 244 B a stream, so at most 8 MB whatever R is.
+_TASK_REPS = 1 << 15
 
 
 def _replicate_chunk(args) -> np.ndarray:
@@ -61,16 +63,13 @@ def _replicate_chunk(args) -> np.ndarray:
     p, sigma = scheme.weights(n)
     np.sqrt(sigma, out=sigma)
     step = max(1, _BLOCK_ELEMS // n)
-    batch = _rng.stream_batch(step)
+    gens = _rng.stream_generator(master_seed, lo, hi)
     block, u = np.empty((2, min(step, hi - lo), n))  # draws, their uniforms, sum scratch
     out = np.empty(hi - lo, dtype=np.float64)
-    for first in range(lo, hi, batch):
-        last = min(first + batch, hi)
-        gens = _rng.stream_generator(master_seed, first, last)
-        for start in range(first, last, step):
-            k = min(step, last - start)
-            rows = draw_centered_row(p, sigma, dist, gens, block[:k], u[:k])
-            out[start - lo:start - lo + k] = exact_sums(rows, u[:k])
+    for start in range(0, hi - lo, step):
+        k = min(step, hi - lo - start)
+        rows = draw_centered_row(p, sigma, dist, gens, block[:k], u[:k])
+        out[start:start + k] = exact_sums(rows, u[:k])
     return out
 
 
@@ -99,12 +98,11 @@ def replicate(R: int, n: int, scheme: ContaminationScheme, dist: BaseDistributio
         raise ValueError(f"worker count must be >= 1, got {workers}")
 
     pool_size = min(workers, R, _usable_cpus())
+    step = min(_TASK_REPS, R if pool_size == 1 else -(-R // (4 * pool_size)))
+    tasks = [(scheme, dist, n, master_seed, lo, min(lo + step, R)) for lo in range(0, R, step)]
     if pool_size == 1:
-        samples = _replicate_chunk((scheme, dist, n, master_seed, 0, R))
+        samples = np.concatenate(list(map(_replicate_chunk, tasks)))
     else:
-        step = -(-R // (4 * pool_size))
-        tasks = [(scheme, dist, n, master_seed, lo, min(lo + step, R))
-                 for lo in range(0, R, step)]
         with ProcessPoolExecutor(max_workers=pool_size) as pool:
             samples = np.concatenate(list(pool.map(_replicate_chunk, tasks)))
     s_n = math.sqrt(array_stats(scheme, n).s2_n)

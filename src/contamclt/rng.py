@@ -4,9 +4,9 @@ Replicate i of a run draws from numpy's ``Generator(PCG64(z_i))``, z_i the
 SplitMix64 mix of (master_seed, i), so no schedule or blocking changes it.
 Seeding a numpy generator per replicate costs more than a short row's draws,
 so ``stream_generator`` reproduces numpy's ``SeedSequence`` hash and PCG64
-seeding for a whole batch of streams at once, in numpy uint32 and uint64
+seeding for a whole range of streams at once, in numpy uint32 and uint64
 words, and writes each stream's state words straight into one reused
-generator; ``stream_batch`` sizes the batches.
+generator.
 ``tests/test_rng.py`` checks the states against numpy's own seeding, so a
 numpy release that changes either fails.
 """
@@ -104,14 +104,6 @@ def _reseeded(states: np.ndarray):
     for words[:] in states:
         ctl[1] = 0
         yield gen
-
-
-def stream_batch(block_rows: int) -> int:
-    """Streams per ``stream_generator`` call for blocks of ``block_rows``
-    rows: whole blocks and at least 64 rows, since one derivation has a
-    fixed cost of about 180 us, some 350 state installs of 0.5 us each
-    (2 cores), which 64 rows spread to under 3 us a stream."""
-    return block_rows * -(-64 // block_rows)
 
 
 def stream_generator(master_seed: int, lo: int, hi: int):

@@ -240,6 +240,11 @@ def test_load_tabular_scheme_bad_row(tmp_path):
     path.write_text("p_k,sigma2_k\n0.5\n")
     with pytest.raises(ConfigError):
         load_tabular_scheme(str(path))
+    # a quoted field holding a newline spans two file lines, so "bad,4" is
+    # the fourth record but sits on line 5
+    path.write_text('p_k,sigma2_k\n"0.1\n",2\n0.2,3\nbad,4\n')
+    with pytest.raises(ConfigError, match=r"scheme\.csv:5: malformed row \['bad', '4'\]"):
+        load_tabular_scheme(str(path))
 
 
 # ---------------------------------------------------------------------------

@@ -151,14 +151,54 @@ def test_replicate_splits_tasks_by_the_capped_pool(monkeypatch):
 
 def test_replicate_block_boundaries_do_not_change_samples(monkeypatch):
     # 700 elements per row: 93 rows per reduction block, and R = 250 is not
-    # a multiple of it, so blocks end mid-chunk at every worker count
+    # a multiple of it, so blocks end mid-chunk at every worker count; tasks
+    # of 7 replicates make 36 tasks, the last of 5
     R, n = 250, 700
     assert R % (montecarlo._BLOCK_ELEMS // n) != 0
     runs = [replicate(R, n, CASE3, NORMAL, 0.0, 31, workers=w).samples for w in (1, 2, 3)]
+    monkeypatch.setattr(montecarlo, "_TASK_REPS", 7)
+    assert -(-R // 7) == 36 and R % 7 == 5
+    runs += [replicate(R, n, CASE3, NORMAL, 0.0, 31, workers=w).samples for w in (1, 2)]
     monkeypatch.setattr(montecarlo, "_BLOCK_ELEMS", 1)
     runs.append(replicate(R, n, CASE3, NORMAL, 0.0, 31).samples)
     for other in runs[1:]:
         assert np.array_equal(runs[0].view(np.int64), other.view(np.int64))
+
+
+def test_each_task_derives_its_streams_in_one_call(monkeypatch):
+    # one stream_generator call per task, of at most _TASK_REPS streams; the
+    # calls cover the replicates [0, R) in order, each index exactly once
+    calls = []
+    stream_generator = montecarlo._rng.stream_generator
+
+    def recording(master_seed, lo, hi):
+        calls.append((lo, hi))
+        return stream_generator(master_seed, lo, hi)
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(montecarlo._rng, "stream_generator", recording)
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", SerialPool)
+    _pin_cpus(monkeypatch, 2)
+    R = 250
+    for cap, workers, tasks in ((1 << 15, 1, 1), (1 << 15, 2, 8), (7, 1, 36), (7, 2, 36)):
+        monkeypatch.setattr(montecarlo, "_TASK_REPS", cap)
+        calls.clear()
+        replicate(R, 30, CASE3, NORMAL, 0.0, 31, workers=workers)
+        assert len(calls) == tasks, (cap, workers)
+        assert all(0 < hi - lo <= cap for lo, hi in calls), (cap, workers)
+        assert [i for lo, hi in calls for i in range(lo, hi)] == list(range(R)), (cap, workers)
 
 
 def test_single_replicate_ks_geometry():

@@ -11,7 +11,7 @@ from contamclt import rng
 from contamclt.analytic import array_stats
 from contamclt.model import ContaminationScheme, StdNormal, base_distribution
 from contamclt.montecarlo import _BLOCK_ELEMS, replicate
-from contamclt.rng import stream_batch, stream_generator
+from contamclt.rng import stream_generator
 from stream_oracle import numpy_draws, oracle_generator, split_seed
 
 EDGE_SEEDS = (0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1)
@@ -119,21 +119,17 @@ def test_replicate_rejects_seeds_outside_uint64(seed, workers):
                   workers=workers)
 
 
-def test_stream_batch_is_whole_blocks_of_at_least_64_rows():
-    assert [stream_batch(rows) for rows in (1, 10, 64, 65, 327)] == [64, 70, 64, 65, 327]
-
-
 @pytest.mark.parametrize("workers", [1, 2])
 def test_replicate_equals_row_by_row_oracle_replay(workers):
     # the base draws come from numpy's own samplers: no golden output uses
     # uniform or laplace, so this is their only independent bit check; a row
     # of 70 000 is longer than a whole reduction block; 40 rows of 5000 make
-    # three blocks of 13 and one of 1 inside one 65-stream batch, so a skipped
+    # three blocks of 13 and one of 1 from one task's streams, so a skipped
     # stream fails; 700 rows of 200 make two full blocks of 327 and a partial one
     seed = 0xDEADBEEFCAFEF00D
     scheme = ContaminationScheme.power_law(0.3, 0.5, 9.0, 1.0)
     assert 70_000 > _BLOCK_ELEMS
-    assert _BLOCK_ELEMS // 5000 == 13 and stream_batch(13) == 65 and _BLOCK_ELEMS // 200 == 327
+    assert _BLOCK_ELEMS // 5000 == 13 and _BLOCK_ELEMS // 200 == 327
     for kind in ("normal", "uniform", "laplace"):
         for R, n in ((37, 5), (2, 70_000), (40, 5000), (700, 200)):
             got = replicate(R, n, scheme, base_distribution(kind), 0.0, seed,
