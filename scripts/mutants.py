@@ -62,6 +62,16 @@ MUTANTS = (
     Mutant("u-le-p", "src/contamclt/model.py",
            "where=u < p)", "where=u <= p)",
            ("tests/test_model.py::test_an_index_whose_uniform_equals_p_takes_the_base_branch",)),
+    # a task of any size, so one derivation may hold every stream of the run
+    Mutant("drop-task-cap", "src/contamclt/montecarlo.py",
+           "min(_TASK_REPS, R if pool_size == 1 else -(-R // (4 * pool_size)))",
+           "(R if pool_size == 1 else -(-R // (4 * pool_size)))",
+           ("tests/test_montecarlo.py::test_each_task_derives_its_streams_in_one_call",)),
+    # a derivation one stream past its task, which no sample reads
+    Mutant("one-stream-too-many", "src/contamclt/montecarlo.py",
+           "_rng.stream_generator(master_seed, lo, hi)",
+           "_rng.stream_generator(master_seed, lo, hi + 1)",
+           ("tests/test_montecarlo.py::test_each_task_derives_its_streams_in_one_call",)),
 )
 
 

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from fractions import Fraction
 from statistics import NormalDist
 
 import numpy as np
@@ -29,7 +30,13 @@ from contamclt.analytic import (
     validate_eps_grid,
     validate_geometric_grid,
 )
-from contamclt.model import ContaminationScheme, StdLaplace, StdNormal, StdUniform
+from contamclt.model import (
+    ContaminationScheme,
+    StdLaplace,
+    StdNormal,
+    StdUniform,
+    base_distribution,
+)
 from contamclt.montecarlo import default_t_grid, qq_points
 
 NORMAL = StdNormal()
@@ -303,6 +310,73 @@ def test_blocked_lindeberg_values_equal_row_at_once(dist):
             if n > block:
                 # the scalar base terms are 1 element each; the rest are row blocks
                 assert sum(evaluated) < len(eps_list) * (n + 1), "no block was zero-filled"
+
+
+# Lindeberg sums at every fifth eps of DEFAULT_EPS_GRID, from mpmath at 30
+# digits with the closed-form tail moments (scripts/compute_oracle_constants.py)
+LINDEBERG_EPS = ("0.001", "0.0032570206556597828", "0.010608183551394482",
+                 "0.03455107294592218", "0.11253355826007645", "0.3665241237079626",
+                 "1.1937766417144358", "3.888155180308085")
+LINDEBERG_SCHEMES = {
+    "powerlaw": (ContaminationScheme.power_law(0.1, 1.0, 4.0, 1.0), 2000),
+    "tabular": (ContaminationScheme.tabular(
+        (0.05, 0.3, 0.7, 0.15, 0.9, 0.45, 0.2, 0.6, 0.1, 0.35, 0.8, 0.25),
+        (1.0, 3.5, 12.0, 1.25, 40.0, 7.0, 2.0, 25.0, 100.0, 5.5, 60.0, 9.0)), 12),
+}
+LINDEBERG_ORACLE = {
+    ("powerlaw", "normal"): (
+        "0.99997189070240809717", "0.99903659062003224748", "0.96941770655385024819",
+        "0.52991391330738555402", "0.28464759042948033783", "0.27397705205294062733",
+        "0.19434921171960510778", "0.010956513833998896779"),
+    ("powerlaw", "laplace"): (
+        "0.99995285178189983082", "0.99856329505985712654", "0.96676856349630076829",
+        "0.65864570758147055407", "0.29174324839345830873", "0.27488947028378196733",
+        "0.21048703345367192685", "0.047029936368792764505"),
+    ("powerlaw", "uniform"): (
+        "0.99997964299160096973", "0.9992966435178443546", "0.97569827887805307876",
+        "0.28574384582703125053", "0.28463110579830577448", "0.27355632306518262904",
+        "0.18208773539168882306", "0.0"),
+    ("tabular", "normal"): (
+        "0.99999997351716753931", "0.99999908529675519264", "0.99996850826367252432",
+        "0.99895195304009453261", "0.97493432203390665813", "0.83686435442239475489",
+        "0.23337238666409391173", "0.000011682248664453516039"),
+    ("tabular", "laplace"): (
+        "0.99999995357509400031", "0.99999843541726286691", "0.99995012231352751747",
+        "0.99866508262331859973", "0.97830335783459581247", "0.85366478733689460707",
+        "0.38923651442487636822", "0.0085486644652102695919"),
+    ("tabular", "uniform"): (
+        "0.99999998083631980573", "0.99999933787428769534", "0.99997712284621479085",
+        "0.9992095697907721588", "0.97268978818230832945", "0.82840605660447405522",
+        "0.037033188981271041485", "0.0"),
+}
+
+
+@pytest.mark.parametrize("scheme_name, kind", sorted(LINDEBERG_ORACLE))
+def test_lindeberg_values_match_mpmath_oracle(scheme_name, kind):
+    """The library's sums lie within a rounding bound of the exact ones.
+
+    With u = 2**-53, L = (B m(eps s_n) + sum_k w_k m(eps s_n / sigma_k)) / s_n^2,
+    B = sum (1 - p_k), w_k = p_k sigma_k^2, all terms >= 0 and B + sum w_k = s_n^2:
+    - relative to L: each weight within 7u (pow within one ulp, then one
+      multiply per factor), u per product with m, (n - 1)u for a sum of n
+      terms in any order (the BLAS dot fixes none), u to add the two terms,
+      15u to divide by s_n^2 (its walk is within 14u), so (n + 23)u;
+    - absolute: thresholds within 12.5u relative (s_n^2 14u halved by the
+      sqrt, sigma_k 2.5u, three roundings), moved by at most
+      max_t t |m'(t)| <= 3 times that (uniform 3, normal 0.93, Laplace 0.68);
+      each m evaluated within 12u of m at its float threshold, exp and erfc
+      assumed within 4u; the weights of both add to 1, so 37.5u + 12u.
+    Rounded up: |L_lib - L| <= u ((n + 24) L + 64).
+    """
+    assert tuple(map(float, LINDEBERG_EPS)) == DEFAULT_EPS_GRID[::5]
+    scheme, n = LINDEBERG_SCHEMES[scheme_name]
+    walk = grid_walk(scheme, (n,))
+    got = analytic._lindeberg_values(walk, walk.stats[0], base_distribution(kind),
+                                     [float(e) for e in LINDEBERG_EPS])
+    u = Fraction(1, 2 ** 53)
+    for eps, value, pin in zip(LINDEBERG_EPS, got, LINDEBERG_ORACLE[scheme_name, kind]):
+        exact = Fraction(pin)
+        assert abs(Fraction(value) - exact) <= u * ((n + 24) * exact + 64), (eps, value, pin)
 
 
 def test_index_estimate_uncontaminated_is_zero():
