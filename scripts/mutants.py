@@ -72,6 +72,28 @@ MUTANTS = (
            "_rng.stream_generator(master_seed, lo, hi)",
            "_rng.stream_generator(master_seed, lo, hi + 1)",
            ("tests/test_montecarlo.py::test_each_task_derives_its_streams_in_one_call",)),
+    # every task's sums written at the front of the samples
+    Mutant("sums-at-front", "src/contamclt/montecarlo.py",
+           "samples[lo:hi] = sums", "samples[:hi - lo] = sums",
+           ("tests/test_montecarlo.py::test_replicate_block_boundaries_do_not_change_samples",)),
+    # QQ keeps only the last level block's count of levels below t
+    Mutant("qq-last-block-count", "src/contamclt/montecarlo.py",
+           "below += np.searchsorted(levels, arr)", "below = np.searchsorted(levels, arr)",
+           ("tests/test_analytic.py::"
+            "test_qq_equals_the_whole_array_search_across_level_blocks",)),
+    # KS pairs each level block with the front of the sorted copy
+    Mutant("ks-block-from-front", "src/contamclt/analytic.py",
+           "phi = c[lo:lo + levels.size]", "phi = c[:levels.size]",
+           ("tests/test_analytic.py::"
+            "test_ks_equals_the_whole_array_formula_across_level_blocks",)),
+    # every level block starts again at 1/r
+    Mutant("levels-restart", "src/contamclt/analytic.py",
+           "yield lo, np.arange(lo + 1, min(lo + _BLOCK, r) + 1,",
+           "yield lo, np.arange(1, min(lo + _BLOCK, r) - lo + 1,",
+           ("tests/test_analytic.py::"
+            "test_ks_equals_the_whole_array_formula_across_level_blocks",
+            "tests/test_analytic.py::"
+            "test_qq_equals_the_whole_array_search_across_level_blocks")),
 )
 
 

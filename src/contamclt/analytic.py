@@ -35,8 +35,8 @@ DEFAULT_EPS_GRID: tuple[float, ...] = tuple(float(e) for e in np.geomspace(1e-3,
 # at n add the full-chunk totals below n in order, then the part-chunk up to
 # n, so they are the same whichever other points a walk's grid holds.
 _CHUNK = 1 << 16
-# Lindeberg terms are evaluated in blocks of this many indices, so that a
-# block's temporaries stay in cache.
+# Lindeberg terms, and the ECDF levels i/R of KS and QQ, come in blocks of this
+# many, so a block's temporaries stay in cache and no array of R levels is held.
 _BLOCK = 1 << 14
 
 # Rows with 2 * n * max|x| at or above this, or with an inf or nan, are left
@@ -432,22 +432,28 @@ def classify_power_law(p: float, a: float, s2: float, b: float) -> Classificatio
 # Kolmogorov distance
 # ---------------------------------------------------------------------------
 
+def _level_blocks(r: int):
+    """Yield (lo, the levels i/r for i = lo+1..min(lo + _BLOCK, r)) block by block;
+    their floats are those of ``np.arange(1, r + 1) / r``."""
+    for lo in range(0, r, _BLOCK):
+        yield lo, np.arange(lo + 1, min(lo + _BLOCK, r) + 1, dtype=np.float64) / r
+
+
 def kolmogorov_distance_to_normal(samples) -> float:
     """Exact sup |E(x) - Phi(x)| between a sample ECDF and the standard normal.
 
     For sorted values x_(1) <= ... <= x_(R) the supremum over the whole line
     equals max_i max(i/R - Phi(x_(i)), Phi(x_(i)) - (i-1)/R).  The input is
-    sorted internally, so the result is invariant under permutation.
+    sorted internally, so the result is invariant under permutation.  One
+    sorted copy (8R bytes) takes Phi in place; the levels come in blocks.
     """
-    arr = np.asarray(samples, dtype=np.float64).ravel()
-    if arr.size == 0:
+    c = np.sort(np.asarray(samples, dtype=np.float64).ravel())
+    if c.size == 0:
         raise ValueError("need at least one sample")
-    if not np.all(np.isfinite(arr)):
+    if not (np.isfinite(c[0]) and np.isfinite(c[-1])):  # nan sorts last
         raise ValueError("samples must be finite")
-    r = arr.size
-    c = ndtr(np.sort(arr))
-    levels = np.arange(1, r + 1, dtype=np.float64) / r
-    d_plus = float(np.max(levels - c))
-    d_minus = float(np.max(c - (levels - 1.0 / r)))
-    return min(max(d_plus, d_minus, 0.0), 1.0)
-
+    d = 0.0
+    for lo, levels in _level_blocks(ndtr(c, out=c).size):
+        phi = c[lo:lo + levels.size]
+        d = max(d, float(np.max(levels - phi)), float(np.max(phi - (levels - 1.0 / c.size))))
+    return min(d, 1.0)

@@ -18,13 +18,14 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtri
 
 from . import rng as _rng
-from .analytic import array_stats, exact_sums, kolmogorov_distance_to_normal
+from .analytic import _level_blocks, array_stats, exact_sums, kolmogorov_distance_to_normal
 from .model import BaseDistribution, ContaminationScheme, draw_centered_row
 
 
@@ -89,6 +90,8 @@ def replicate(R: int, n: int, scheme: ContaminationScheme, dist: BaseDistributio
     ``workers`` spreads the row sums over at most that many processes, never
     more than tasks or usable CPUs, and never changes a value.  s_n, a walk
     over k = 1..n that the draws do not need, comes after them.
+    It holds the R sums once (8R bytes), writing each task's in place as it
+    arrives, and KS adds one sorted copy.
     """
     if R < 1:
         raise ValueError(f"replication count must be >= 1, got {R}")
@@ -100,11 +103,10 @@ def replicate(R: int, n: int, scheme: ContaminationScheme, dist: BaseDistributio
     pool_size = min(workers, R, _usable_cpus())
     step = min(_TASK_REPS, R if pool_size == 1 else -(-R // (4 * pool_size)))
     tasks = [(scheme, dist, n, master_seed, lo, min(lo + step, R)) for lo in range(0, R, step)]
-    if pool_size == 1:
-        samples = np.concatenate(list(map(_replicate_chunk, tasks)))
-    else:
-        with ProcessPoolExecutor(max_workers=pool_size) as pool:
-            samples = np.concatenate(list(pool.map(_replicate_chunk, tasks)))
+    samples = np.empty(R, dtype=np.float64)
+    with ProcessPoolExecutor(max_workers=pool_size) if pool_size > 1 else nullcontext() as pool:
+        for (*_, lo, hi), sums in zip(tasks, (pool.map if pool else map)(_replicate_chunk, tasks)):
+            samples[lo:hi] = sums
     s_n = math.sqrt(array_stats(scheme, n).s2_n)
     samples /= s_n
     return ReplicationResult(samples, s_n, kolmogorov_distance_to_normal(samples))
@@ -115,6 +117,7 @@ def qq_points(samples, t_grid) -> tuple[QQPoint, ...]:
 
     E^-1(t) is the generalized inverse of the samples' empirical CDF: the
     smallest order statistic x_(i) whose level i/R, as a float, reaches t.
+    It holds one sorted copy (8R bytes) and counts the levels below t by block.
     """
     xs = np.sort(np.asarray(samples, dtype=np.float64).ravel())
     if xs.size == 0:
@@ -126,7 +129,8 @@ def qq_points(samples, t_grid) -> tuple[QQPoint, ...]:
         raise ValueError("t grid must lie strictly inside (0, 1)")
     if np.any(np.diff(arr) <= 0.0):
         raise ValueError("t grid must be strictly increasing")
-    levels = np.arange(1, xs.size + 1) / xs.size
-    emp = xs[np.searchsorted(levels, arr)]
+    below = np.zeros(arr.size, dtype=np.intp)  # how many levels i/R lie below each t
+    for _, levels in _level_blocks(xs.size):
+        below += np.searchsorted(levels, arr)
     return tuple(QQPoint(float(t), float(q), float(e))
-                 for t, q, e in zip(arr, ndtri(arr), emp))
+                 for t, q, e in zip(arr, ndtri(arr), xs[below]))

@@ -10,7 +10,7 @@ import pytest
 import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import ndtri
+from scipy.special import ndtr, ndtri
 
 from contamclt import analytic
 from contamclt.analytic import (
@@ -503,10 +503,11 @@ def test_ks_agrees_with_scipy():
 
 
 def test_ks_errors():
-    with pytest.raises(ValueError):
-        kolmogorov_distance_to_normal([])
-    with pytest.raises(ValueError):
-        kolmogorov_distance_to_normal([1.0, math.nan])
+    # nan sorts last and infinities to either end, wherever they were
+    for bad in ([], [1.0, math.nan], [math.nan, 1.0, 2.0], [1.0, math.inf, 2.0],
+                [-math.inf, 0.0], [math.inf, -math.inf, math.nan]):
+        with pytest.raises(ValueError):
+            kolmogorov_distance_to_normal(bad)
 
 
 @given(st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=60),
@@ -544,3 +545,54 @@ def test_normal_domain_errors():
     for bad in (0.0, 1.0, -0.2, 1.4, math.nan):
         with pytest.raises(ValueError):
             qq_points([1.0, 2.0], [bad])
+
+
+# R at the edges of the level blocks: one level, a block less one, a whole
+# block, a block and one, and three blocks and a part
+BLOCK_EDGE_R = (1, 2, analytic._BLOCK - 1, analytic._BLOCK, analytic._BLOCK + 1,
+                3 * analytic._BLOCK + 5)
+
+
+@pytest.mark.parametrize("r", BLOCK_EDGE_R)
+def test_ks_equals_the_whole_array_formula_across_level_blocks(r):
+    # draws rounded to 0.01, so the larger samples hold many ties
+    samples = np.round(np.random.default_rng(r).standard_normal(r), 2)
+    c = ndtr(np.sort(samples))
+    levels = np.arange(1, r + 1, dtype=np.float64) / r
+    want = min(max(float(np.max(levels - c)), float(np.max(c - (levels - 1.0 / r))), 0.0), 1.0)
+    assert kolmogorov_distance_to_normal(samples) == want
+
+
+@pytest.mark.parametrize("r", BLOCK_EDGE_R)
+@pytest.mark.parametrize("ties", [True, False])
+def test_qq_equals_the_whole_array_search_across_level_blocks(r, ties):
+    # with ties, draws rounded to 0.01; without, a permutation of 0..R-1, whose
+    # order statistic x_(i) is i - 1, so the value names the index it came from
+    rng = np.random.default_rng(r)
+    samples = np.round(rng.standard_normal(r), 2) if ties else rng.permutation(r).astype(float)
+    xs = np.sort(samples)
+    levels = np.arange(1, r + 1) / r
+    grids = [default_t_grid()]
+    for i in (analytic._BLOCK - 1, analytic._BLOCK, analytic._BLOCK + 1):
+        if i < r:  # the level i/R itself and the floats on either side of it
+            grids.append([np.nextafter(i / r, 0.0), i / r, np.nextafter(i / r, 1.0)])
+    for grid in grids:
+        got = [pt.empirical for pt in qq_points(samples, grid)]
+        assert got == xs[np.searchsorted(levels, grid)].tolist(), grid
+
+
+@pytest.mark.parametrize("fn", [kolmogorov_distance_to_normal,
+                                lambda samples: qq_points(samples, default_t_grid())],
+                         ids=["ks", "qq"])
+def test_ks_and_qq_memory_is_one_sorted_copy(fn):
+    # one sorted copy (KS takes Phi in place) and levels in blocks; a second
+    # array of R floats, such as all R levels at once, breaks the bound
+    r = 10 ** 6
+    samples = np.random.default_rng(5).standard_normal(r)
+    tracemalloc.start()
+    try:
+        fn(samples)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * 8 * r

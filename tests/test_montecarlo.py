@@ -1,6 +1,7 @@
 """Replication and QQ point generation."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -305,6 +306,22 @@ def test_qq_self_consistency_on_exact_quantiles():
     offsets = (np.arange(1, r + 1) - 0.5) / r
     pts = qq_points(ndtri(offsets), offsets)
     assert max(abs(p.theoretical - p.empirical) for p in pts) < 1e-6
+
+
+def test_replicate_memory_is_the_sums_and_one_sorted_copy(monkeypatch):
+    # the sums are written in place and KS adds one sorted copy: about 2 * 8R
+    # bytes, so a third array of R floats breaks the bound.  Tasks of 2**12
+    # replicates keep their stream derivation near 1 MB, below 8R; tracemalloc
+    # slows the row loop about fourfold, so R stays at 2e5.
+    monkeypatch.setattr(montecarlo, "_TASK_REPS", 1 << 12)
+    r = 200_000
+    tracemalloc.start()
+    try:
+        replicate(r, 1, CASE3, NORMAL, 0.0, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * 8 * r
 
 
 def test_qq_default_grid_has_199_points():
