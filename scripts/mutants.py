@@ -94,6 +94,19 @@ MUTANTS = (
             "test_ks_equals_the_whole_array_formula_across_level_blocks",
             "tests/test_analytic.py::"
             "test_qq_equals_the_whole_array_search_across_level_blocks")),
+    # the index estimate stops at an untrusted largest-eps column too
+    Mutant("untrusted-top-stops", "src/contamclt/analytic.py",
+           "if not top_trusted:", "if False:",
+           ("tests/test_analytic.py::test_index_estimate_equals_the_rule_over_all_columns",)),
+    # a block zero-filled from its smallest sigma_k, so from its largest threshold
+    Mutant("zero-fill-from-min-sigma", "src/contamclt/analytic.py",
+           "np.maximum.reduceat(sigma[:stats.n], starts)",
+           "np.minimum.reduceat(sigma[:stats.n], starts)",
+           ("tests/test_analytic.py::test_blocked_lindeberg_values_equal_row_at_once",)),
+    # every row's base weight summed over the whole top row
+    Mutant("base-weight-top-row", "src/contamclt/analytic.py",
+           "float(np.sum(moment[:stats.n]))", "float(np.sum(moment))",
+           ("tests/test_analytic.py::test_index_estimate_equals_the_rule_over_all_columns",)),
 )
 
 

@@ -11,8 +11,8 @@ rule that produced them (see ``Trend`` and the index-estimate notes below).
 
 ``grid_walk`` is the one pass over k = 1..max(n_grid) that the conditions,
 the index bound and the index estimate share through their ``walk``
-argument; it keeps only the ``ArrayStats``.  Each Lindeberg row fetches its
-own weights and is evaluated in cache-sized blocks.
+argument; it keeps only the ``ArrayStats``.  The Lindeberg rows are prefixes
+of the top row, whose weights the index estimate fetches once more.
 """
 
 from __future__ import annotations
@@ -280,45 +280,52 @@ def condition_c(scheme: ContaminationScheme, n_grid=DEFAULT_N_GRID, walk=None) -
 # Lindeberg sums and index
 # ---------------------------------------------------------------------------
 
-def _lindeberg_values(walk: GridWalk, stats: ArrayStats, dist: BaseDistribution,
-                      eps_list) -> list[float]:
-    """Lindeberg sums of the standardized array at row stats.n for several epsilons.
+def _lindeberg_columns(walk: GridWalk, dist: BaseDistribution, eps_list):
+    """Yield the Lindeberg sums of the walk's top-half rows at each eps of ``eps_list``.
 
     A sum is the base term (threshold eps*s_n, weight sum(1 - p_k)) plus the
     inflated term (thresholds eps*s_n/sigma_k, weights p_k sigma_k^2), over
     s_n^2; it lies in [0, 1] and is nonincreasing in eps.
 
-    Each row fetches its weights once, bit-equal to the walk's chunks, and
-    overwrites them with p_k sigma_k^2 and s_n / sigma_k.  Its tail moments
-    fill one buffer block by block; one ``np.dot`` over the whole row reduces
-    it.  A block whose thresholds are all at least ``dist.zero_from`` is
-    zero-filled; none exceeds the checked eps * s_n.
+    The rows are prefixes of the top row: its 1 - p_k, p_k sigma_k^2 and sigma_k
+    are fetched once, in blocks bit-equal to the walk's chunks, and each row reads
+    prefix views.  A row's tail moments overwrite the 1 - p_k block by block, and
+    one ``np.dot`` reduces them.  A block whose thresholds eps*s_n/sigma_k are all
+    at least ``dist.zero_from`` is zero-filled; none exceeds eps*s_n.
     """
-    n = stats.n
-    s_n = math.sqrt(stats.s2_n)
-    p, s2 = walk.scheme.weights(n)
-    base_weight = float(np.sum(1.0 - p))  # sum of (1 - p_k)
-    ps2 = np.multiply(p, s2, out=p)
-    threshold_scale = np.divide(s_n, np.sqrt(s2, out=s2), out=s2)  # s_n / sigma_k
-    starts = range(0, n, _BLOCK)
-    floors = np.minimum.reduceat(threshold_scale, starts).tolist()
-    row, t = np.empty(n), np.empty(min(n, _BLOCK))
-    out = []
+    top = walk.grid[-1]
+    ps2, sigma, moment = np.empty(top), np.empty(top), np.empty(top)
+    for lo in range(0, top, _BLOCK):
+        p, s2 = walk.scheme.weights(min(lo + _BLOCK, top), start=lo + 1)
+        hi = lo + p.size
+        np.subtract(1.0, p, out=moment[lo:hi])
+        np.multiply(p, s2, out=ps2[lo:hi])
+        np.sqrt(s2, out=sigma[lo:hi])
+    plan = []  # per row: stats, s_n, sum(1 - p_k), each block's start and min s_n/sigma_k
+    for stats in walk.stats[len(walk.stats) // 2:]:
+        starts, s_n = range(0, stats.n, _BLOCK), math.sqrt(stats.s2_n)
+        floors = (s_n / np.maximum.reduceat(sigma[:stats.n], starts)).tolist()
+        plan.append((stats, s_n, float(np.sum(moment[:stats.n])), list(zip(starts, floors))))
+    t = np.empty(min(top, _BLOCK))
     for eps in eps_list:
-        term_base = base_weight * dist.truncated_second_moment(eps * s_n)
-        for lo, floor in zip(starts, floors):
-            hi = min(lo + _BLOCK, n)
-            if eps * floor >= dist.zero_from:
-                row[lo:hi] = 0.0
-            else:
-                dist.truncated_second_moment(
-                    np.multiply(eps, threshold_scale[lo:hi], out=t[:hi - lo]), out=row[lo:hi])
-        term_inflated = float(np.dot(ps2, row))
-        out.append(min(max((term_base + term_inflated) / stats.s2_n, 0.0), 1.0))
-    return out
+        col = []
+        for stats, s_n, base_weight, blocks in plan:
+            if not math.isfinite(eps * s_n):
+                raise ValueError(f"Lindeberg threshold eps*s_n is inf at eps={eps!r}, n={stats.n}")
+            term_base = base_weight * dist.truncated_second_moment(eps * s_n)
+            for lo, floor in blocks:
+                hi = min(lo + _BLOCK, stats.n)
+                if eps * floor >= dist.zero_from:
+                    moment[lo:hi] = 0.0
+                else:
+                    tb = np.divide(s_n, sigma[lo:hi], out=t[:hi - lo])
+                    dist.truncated_second_moment(np.multiply(tb, eps, out=tb), out=moment[lo:hi])
+            term_inflated = float(np.dot(ps2[:stats.n], moment[:stats.n]))
+            col.append(min(max((term_base + term_inflated) / stats.s2_n, 0.0), 1.0))
+        yield col
 
 
-def _row_limit_surrogate(col: tuple[float, ...]) -> tuple[float, bool]:
+def _row_limit_surrogate(col: list[float]) -> tuple[float, bool]:
     """Estimate lim sup over n from values on the top half of the n-grid.
 
     Returns (value, trusted).  The estimate is trusted when the values have
@@ -354,25 +361,18 @@ def lindeberg_index_estimate(scheme: ContaminationScheme, dist: BaseDistribution
     """
     eps = validate_eps_grid(eps_grid)
     walk = _walked(scheme, n_grid, walk)
-    rows = [_lindeberg_values(walk, stats, dist, eps)
-            for stats in walk.stats[len(walk.stats) // 2:]]
-
-    g, trusted = zip(*(_row_limit_surrogate(col) for col in zip(*rows)))
-
-    # contiguous trusted suffix reachable from the large-eps end
-    first = len(eps)
-    while first > 0 and trusted[first - 1]:
-        first -= 1
-    if first == len(eps):
-        return max(g)  # nothing resolvable; conservative grid maximum
-
-    tol = 1e-3
-    last = len(eps) - 1
+    # columns from the large-eps end, evaluated only as far as they are read
+    surrogates = map(_row_limit_surrogate, _lindeberg_columns(walk, dist, eps[::-1]))
+    g_top, top_trusted = next(surrogates)
+    if not top_trusted:  # nothing resolvable; conservative grid maximum
+        return max([g_top, *(v for v, _ in surrogates)])
+    # the contiguous trusted suffix reachable from the large-eps end, ascending
+    g = [v for v, _ in itertools.takewhile(lambda s: s[1], surrogates)][::-1] + [g_top]
     for width in (2, 1):  # prefer a three-point plateau, fall back to two
-        for j in range(first, last - width + 1):
-            if all(abs(g[i + 1] - g[i]) < tol for i in range(j, j + width)):
+        for j in range(len(g) - width):
+            if all(abs(g[i + 1] - g[i]) < 1e-3 for i in range(j, j + width)):
                 return g[j]
-    return g[first]  # no plateau: smallest trusted eps
+    return g[0]  # no plateau: smallest trusted eps
 
 
 def lindeberg_upper_bound(scheme: ContaminationScheme, n_grid=DEFAULT_N_GRID, walk=None) -> float:

@@ -30,14 +30,12 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import norm
 
-from contamclt import analytic
 from contamclt.analytic import (
     array_stats,
     classify_power_law,
     condition_a,
     condition_b,
     condition_c,
-    grid_walk,
     kolmogorov_distance_to_normal,
     lindeberg_index_estimate,
     lindeberg_upper_bound,
@@ -48,6 +46,7 @@ from contamclt.experiment import DEFAULT_SEED
 from contamclt.model import ContaminationScheme, StdNormal
 from contamclt.montecarlo import replicate
 from exact_law import ExactLaw, dkw_band, power_law_weights
+from test_analytic import lindeberg_row
 
 NORMAL = StdNormal()
 CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
@@ -260,8 +259,7 @@ def test_criterion_4_oracle_agreement():
 
     # Lindeberg sum vs 1e7-draw Monte Carlo
     scheme = ContaminationScheme.power_law(0.1, 1.0, 4.0, 1.0)
-    walk = grid_walk(scheme, (1000,))
-    [exact] = analytic._lindeberg_values(walk, walk.stats[0], NORMAL, [0.5])
+    [exact] = lindeberg_row(scheme, NORMAL, 1000, [0.5])
     mc, se = _mc_lindeberg_oracle(scheme, 1000, 0.5, 10 ** 7, seed=20240601)
     if abs(exact - mc) > 3.0 * se:
         failures.append(f"lindeberg sum {exact:.6f} vs MC {mc:.6f} +- {se:.2e}")
@@ -308,8 +306,7 @@ def test_criterion_5_property_suites():
     ]
     for scheme in probe_schemes:
         n = min(200, len(scheme.p_table) if scheme.length else 200)
-        walk = grid_walk(scheme, (n,))
-        vals = analytic._lindeberg_values(walk, walk.stats[0], NORMAL, eps_grid.tolist())
+        vals = lindeberg_row(scheme, NORMAL, n, eps_grid.tolist())
         if not all(0.0 <= v <= 1.0 for v in vals):
             failures.append("lindeberg sum escaped [0, 1]")
         if not all(b <= a + 1e-12 for a, b in zip(vals, vals[1:])):

@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 from statistics import NormalDist
 
 import numpy as np
@@ -30,6 +31,7 @@ from contamclt.analytic import (
     validate_eps_grid,
     validate_geometric_grid,
 )
+from contamclt.cli import config_from_settings, read_config_file
 from contamclt.model import (
     ContaminationScheme,
     StdLaplace,
@@ -244,24 +246,24 @@ def test_grid_ratios_are_checked_against_their_median():
 # Lindeberg sums and index
 # ---------------------------------------------------------------------------
 
-def _lindeberg_row(scheme, dist, n, eps_list):
-    """The Lindeberg sums of row n as the index estimate evaluates them."""
+def lindeberg_row(scheme, dist, n, eps_list):
+    """The Lindeberg sums of row n at each eps, as the index estimate evaluates them."""
     walk = grid_walk(scheme, (n,))
-    return analytic._lindeberg_values(walk, walk.stats[0], dist, eps_list)
+    return [value for [value] in analytic._lindeberg_columns(walk, dist, eps_list)]
 
 
 def test_lindeberg_sum_uniform_vanishes_beyond_support():
     # threshold eps*s_n = sqrt(n) >= 2 exceeds the uniform support sqrt(3)
     s = ContaminationScheme.uncontaminated()
     for n in (4, 16, 100):
-        assert _lindeberg_row(s, StdUniform(), n, [1.0]) == [0.0]
+        assert lindeberg_row(s, StdUniform(), n, [1.0]) == [0.0]
     # far past the Laplace cutoff too, where its closed form overflows to nan
-    assert _lindeberg_row(s, StdLaplace(), 1, [1e300]) == [0.0]
+    assert lindeberg_row(s, StdLaplace(), 1, [1e300]) == [0.0]
 
 
 def test_lindeberg_sum_tends_to_one_for_tiny_eps():
     for scheme in (CASE3, ContaminationScheme.uncontaminated()):
-        [v] = _lindeberg_row(scheme, NORMAL, 50, [1e-9])
+        [v] = lindeberg_row(scheme, NORMAL, 50, [1e-9])
         assert v == pytest.approx(1.0, abs=1e-9)
 
 
@@ -270,7 +272,7 @@ def test_lindeberg_sum_bounds_and_monotonicity():
                ContaminationScheme.tabular([0.2] * 200, [5.0] * 200)]
     eps_grid = np.geomspace(1e-4, 20.0, 25)
     for scheme in schemes:
-        vals = _lindeberg_row(scheme, NORMAL, 200, eps_grid.tolist())
+        vals = lindeberg_row(scheme, NORMAL, 200, eps_grid.tolist())
         assert all(0.0 <= v <= 1.0 for v in vals)
         assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
 
@@ -302,9 +304,8 @@ def test_blocked_lindeberg_values_equal_row_at_once(dist):
                ContaminationScheme.power_law(0.3, 0.5, 8.0, 1.2))
     for scheme in schemes:
         for n in (1000, 2 * block + 123, 3 * block):
-            walk = grid_walk(scheme, (n,))
             evaluated.clear()
-            blocked = analytic._lindeberg_values(walk, walk.stats[0], Counted(), eps_list)
+            blocked = lindeberg_row(scheme, Counted(), n, eps_list)
             want = _row_at_once(scheme, dist, n, eps_list)
             assert [v.hex() for v in blocked] == [v.hex() for v in want], (scheme, n)
             if n > block:
@@ -370,13 +371,90 @@ def test_lindeberg_values_match_mpmath_oracle(scheme_name, kind):
     """
     assert tuple(map(float, LINDEBERG_EPS)) == DEFAULT_EPS_GRID[::5]
     scheme, n = LINDEBERG_SCHEMES[scheme_name]
-    walk = grid_walk(scheme, (n,))
-    got = analytic._lindeberg_values(walk, walk.stats[0], base_distribution(kind),
-                                     [float(e) for e in LINDEBERG_EPS])
+    got = lindeberg_row(scheme, base_distribution(kind), n, [float(e) for e in LINDEBERG_EPS])
     u = Fraction(1, 2 ** 53)
     for eps, value, pin in zip(LINDEBERG_EPS, got, LINDEBERG_ORACLE[scheme_name, kind]):
         exact = Fraction(pin)
         assert abs(Fraction(value) - exact) <= u * ((n + 24) * exact + 64), (eps, value, pin)
+
+
+SMALL_GRID = tuple(100 * 2 ** j for j in range(6))
+
+
+def _estimate_cases():
+    """name -> (scheme, base, n_grid, eps_grid, whether the largest-eps column is trusted)."""
+    rng = np.random.default_rng(20261019)
+    table = ContaminationScheme.tabular(0.5 * rng.random(3200), 1.0 + 99.0 * rng.random(3200))
+    power, grids = ContaminationScheme.power_law, (SMALL_GRID, DEFAULT_EPS_GRID)
+    cases = {
+        "powerlaw-0.1-1-2-2-normal": (power(0.1, 1.0, 2.0, 2.0), "normal", *grids, False),
+        "powerlaw-0.1-2-2-4-normal": (power(0.1, 2.0, 2.0, 4.0), "normal", *grids, False),
+        "powerlaw-0.1-1-1000-0.5-laplace": (power(0.1, 1.0, 1000.0, 0.5), "laplace", *grids,
+                                            False),
+        "tabular-uniform": (table, "uniform", *grids, True),
+    }
+    for path in sorted((Path(__file__).resolve().parent.parent / "configs").glob("fig*.cfg")):
+        config = config_from_settings(read_config_file(str(path))).validated()
+        cases[path.stem] = (config.scheme, config.dist, config.n_grid, config.eps_grid, True)
+    return cases
+
+
+ESTIMATE_CASES = _estimate_cases()
+
+
+def _index_from_all_columns(scheme, dist, n_grid, eps):
+    """The index estimate's rule applied to all columns, each row evaluated on its
+    own walk; returns the estimate and every column's trusted flag."""
+    rows = [lindeberg_row(scheme, dist, n, eps) for n in n_grid[len(n_grid) // 2:]]
+    g, trusted = zip(*(analytic._row_limit_surrogate(col) for col in zip(*rows)))
+    first = len(eps)
+    while first > 0 and trusted[first - 1]:
+        first -= 1
+    if first == len(eps):
+        return max(g), trusted
+    for width in (2, 1):
+        for j in range(first, len(eps) - width):
+            if all(abs(g[i + 1] - g[i]) < 1e-3 for i in range(j, j + width)):
+                return g[j], trusted
+    return g[first], trusted
+
+
+@pytest.mark.parametrize("name", sorted(ESTIMATE_CASES))
+def test_index_estimate_equals_the_rule_over_all_columns(name):
+    # the estimate stops at the first untrusted column below a trusted top,
+    # and takes every column when the top is untrusted
+    scheme, kind, n_grid, eps, top_trusted = ESTIMATE_CASES[name]
+    dist = base_distribution(kind)
+    want, trusted = _index_from_all_columns(scheme, dist, n_grid, eps)
+    assert trusted[-1] is top_trusted
+    assert lindeberg_index_estimate(scheme, dist, n_grid, eps) == want
+    if name == "powerlaw-0.1-1-2-2-normal":
+        # an estimate that stopped at the second untrusted column read 0x1.0cb91f318f5f7p-3
+        assert want.hex() == "0x1.fff909d9fc265p-1"
+
+
+@pytest.mark.parametrize("scheme, top_trusted", [
+    (CASE3, True), (ContaminationScheme.power_law(0.1, 1.0, 2.0, 2.0), False)])
+def test_index_estimate_evaluates_no_column_below_the_first_untrusted(scheme, top_trusted):
+    thresholds = []
+
+    class Counted(StdNormal):
+        def _tail_moment(self, t, out):
+            if t.ndim == 0:  # a row's base term at eps * s_n, once per row and column
+                thresholds.append(float(t))
+            super()._tail_moment(t, out)
+
+    _, trusted = _index_from_all_columns(scheme, NORMAL, SMALL_GRID, DEFAULT_EPS_GRID)
+    assert trusted[-1] is top_trusted
+    lindeberg_index_estimate(scheme, Counted(), SMALL_GRID)
+    walk = grid_walk(scheme, SMALL_GRID)
+    s_ns = [math.sqrt(s.s2_n) for s in walk.stats[len(walk.stats) // 2:]]
+    if top_trusted:  # from the largest eps down to the first untrusted column
+        count = len(trusted) - max(j for j, ok in enumerate(trusted) if not ok)
+        assert count < len(trusted)
+    else:
+        count = len(trusted)
+    assert thresholds == [eps * s_n for eps in DEFAULT_EPS_GRID[::-1][:count] for s_n in s_ns]
 
 
 def test_index_estimate_uncontaminated_is_zero():

@@ -83,9 +83,10 @@ def test_json_roundtrip_equal(small_report):
 
 def test_run_experiment_walks_the_grid_once(monkeypatch):
     # conditions, bound and index estimate share one chunk-aligned walk, so
-    # the grid's weights are fetched exactly once per chunk; then each
-    # Lindeberg row (the top half of the grid) fetches its own whole row, and
-    # the replicate loop fetches row n = 100 for its draws and then for s_n
+    # the grid's weights are fetched exactly once per chunk; then the
+    # Lindeberg rows (the top half of the grid) fetch the top row once, block
+    # by block, and the replicate loop fetches row n = 100 for its draws and
+    # then for s_n
     n_grid = tuple(9000 * 2 ** j for j in range(6))  # top 288000: five chunks
     calls = []
     weights = ContaminationScheme.weights
@@ -100,7 +101,8 @@ def test_run_experiment_walks_the_grid_once(monkeypatch):
     chunk, top = analytic._CHUNK, n_grid[-1]
     walk = [(lo + 1, min(lo + chunk, top)) for lo in range(0, top, chunk)]
     assert len(walk) == 5
-    rows = [(1, n) for n in n_grid[len(n_grid) // 2:]]
+    block = analytic._BLOCK
+    rows = [(lo + 1, min(lo + block, top)) for lo in range(0, top, block)]
     assert calls == walk + rows + [(1, config.n), (1, config.n)]
 
 
@@ -316,6 +318,17 @@ def test_cli_refuses_a_power_law_that_overflows(p, s2, b, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("error:") == 1
     assert f"s2={float(s2)}" in err and f"b={float(b)}" in err and "k=128000" in err
+
+
+def test_cli_names_eps_when_a_lindeberg_threshold_overflows(tmp_path, capsys):
+    # eps * s_n is inf at the largest eps, whose column is evaluated first
+    eps_grid = ",".join(f"1e{k}" for k in range(300, 309))
+    code = main(["--config", str(Path(__file__).resolve().parent.parent / "configs" / "fig3.cfg"),
+                 "--eps-grid", eps_grid, "--out", str(tmp_path)])
+    assert code == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1
+    assert "eps=1e+308" in err and "n=16000" in err
 
 
 def test_cli_out_of_memory_is_a_validation_error(monkeypatch, capsys):

@@ -7,7 +7,7 @@ also catches drift that moves both runs at once, such as a change in the
 replicate reduction or in numpy's generators.
 
 One known dependence is not the program's own: the ``fig3``/``fig4`` index
-estimates come from an ``np.dot`` in ``analytic._lindeberg_values`` whose
+estimates come from an ``np.dot`` in ``analytic._lindeberg_columns`` whose
 last bits depend on the BLAS thread count (``OPENBLAS_NUM_THREADS=1``
 changes them), so this test can fail on those fields under a BLAS thread
 setting other than the one the committed outputs were made with.  The

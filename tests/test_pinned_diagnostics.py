@@ -8,10 +8,11 @@ estimate under the normal, uniform and Laplace bases are pinned as
 100000-row table.  The closed-form tail moments themselves are pinned by a
 digest of their bytes over t = 0..600, which covers the subnormal bands and
 the exact zeros.  All values were computed by the row-at-once Lindeberg
-evaluation and the allocating closed forms that the blocked ones replaced.
+evaluation and the allocating closed forms that the blocked ones replaced;
+the column-by-column evaluation over prefixes of the top row keeps them.
 
 Like the figure outputs, the index estimates depend in their last bits on
-the BLAS thread count of the ``np.dot`` in ``analytic._lindeberg_values``;
+the BLAS thread count of the ``np.dot`` in ``analytic._lindeberg_columns``;
 they were made with two OpenBLAS threads.
 """
 
