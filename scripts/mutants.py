@@ -107,6 +107,20 @@ MUTANTS = (
     Mutant("base-weight-top-row", "src/contamclt/analytic.py",
            "float(np.sum(moment[:stats.n]))", "float(np.sum(moment))",
            ("tests/test_analytic.py::test_index_estimate_equals_the_rule_over_all_columns",)),
+    # a bad table entry named at the index before it
+    Mutant("bad-index-one-off", "src/contamclt/model.py",
+           "at index {i + 1}", "at index {i}",
+           ("tests/test_model.py::"
+            "test_tabular_names_the_first_bad_index_as_the_per_index_loop",)),
+    # tabular weights read from one entry past start - 1
+    Mutant("weights-offset-start", "src/contamclt/model.py",
+           "np.frombuffer(self.p_table)[start - 1:n]", "np.frombuffer(self.p_table)[start:n]",
+           ("tests/test_model.py::test_tabular_weights_are_fresh_writable_slices",)),
+    # every echo slice after the first starts one float late, skipping one
+    Mutant("echo-slice-starts-late", "src/contamclt/experiment.py",
+           "range(0, len(self.values), self.SLICE)", "range(0, len(self.values), self.SLICE + 1)",
+           ("tests/test_experiment_cli.py::"
+            "test_emit_json_echoes_a_table_across_slice_boundaries",)),
 )
 
 

@@ -18,6 +18,7 @@ import math
 import os
 import tempfile
 import time
+from array import array
 from dataclasses import dataclass, field, fields, replace
 
 from . import __version__
@@ -147,14 +148,15 @@ class ExperimentReport:
             return self.classification.lindeberg_index
         return self.lindeberg_index_estimate
 
-    def to_dict(self) -> dict:
+    def to_dict(self, table=memoryview.tolist) -> dict:
+        """JSON-ready values; ``table`` makes the echo of a tabular column."""
         cfg = self.config
         scheme: dict = {"kind": cfg.scheme.kind.value}
         if cfg.scheme.kind is SchemeKind.POWER_LAW:
             scheme.update(p=cfg.scheme.p, a=cfg.scheme.a, s2=cfg.scheme.s2, b=cfg.scheme.b)
         elif cfg.scheme.kind is SchemeKind.TABULAR:
-            scheme.update(p_k=list(cfg.scheme.p_table),
-                          sigma2_k=list(cfg.scheme.sigma2_table))
+            scheme.update(p_k=table(memoryview(cfg.scheme.p_table).cast("d")),
+                          sigma2_k=table(memoryview(cfg.scheme.sigma2_table).cast("d")))
             if cfg.tabular is not None:
                 scheme["source"] = cfg.tabular
         echo = {"scheme": scheme}
@@ -191,25 +193,26 @@ class ExperimentReport:
 
 
 def utf8_lines(path: str):
-    """The lines of a UTF-8 text file, read lazily with their endings as
-    written; a decode error becomes a ConfigError naming the file."""
+    """The lines of a UTF-8 text file, read lazily with their endings as written and
+    a leading BOM dropped; a decode error becomes a ConfigError naming the file."""
     try:
-        with open(path, newline="", encoding="utf-8") as handle:
+        with open(path, newline="", encoding="utf-8-sig") as handle:
             yield from handle
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 def load_tabular_scheme(path: str) -> ContaminationScheme:
-    """Read a two-column CSV ``p_k,sigma2_k`` (with header) into a scheme."""
+    """Read a two-column CSV ``p_k,sigma2_k`` (with header) into a scheme, peaking
+    near 25 B a row; errors name ``file:line``, or the file and first bad index."""
     reader = csv.reader(utf8_lines(path))
-    p_col, s_col = [], []
+    p_col, s_col = array("d"), array("d")
     try:
         header = next(reader, None)
         if header is None or [h.strip() for h in header[:2]] != ["p_k", "sigma2_k"]:
             raise ConfigError(f"{path}: expected header 'p_k,sigma2_k', got {header!r}")
         for row in reader:
-            if not row or all(not cell.strip() for cell in row):
+            if not "".join(row).strip():  # no cells, or blank ones only
                 continue
             try:
                 p_col.append(float(row[0]))
@@ -218,6 +221,8 @@ def load_tabular_scheme(path: str) -> ContaminationScheme:
                 raise ConfigError(f"{path}:{reader.line_num}: malformed row {row!r}") from None
     except csv.Error as exc:  # a field longer than csv.field_size_limit()
         raise ConfigError(f"{path}:{reader.line_num}: {exc}") from None
+    p_col = p_col.tobytes()  # rebinding frees each array before the next copy is made
+    s_col = s_col.tobytes()
     try:
         return ContaminationScheme.tabular(p_col, s_col)
     except ValueError as exc:
@@ -331,10 +336,27 @@ def emit_csv(report: ExperimentReport, path: str, force: bool = False) -> None:
     _write_atomic(path, (line + "\n" for line in lines), force)
 
 
+class _EchoedColumn(list):
+    """A float64 column that the Python JSON encoder reads as a list, ``SLICE``
+    Python floats at a time; the encoder writes every separator itself."""
+
+    SLICE = 4096
+
+    def __init__(self, values: memoryview):
+        self.values = values  # the list itself stays empty
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def __iter__(self):
+        for lo in range(0, len(self.values), self.SLICE):
+            yield from self.values[lo:lo + self.SLICE].tolist()
+
+
 def emit_json(report: ExperimentReport, path: str, force: bool = False) -> None:
     """The full report as JSON; ``json.loads`` reads every float back bit for bit."""
     # json.dumps with an indent runs this same Python encoder, so no byte moves
-    encoded = json.JSONEncoder(indent=2).iterencode(report.to_dict())
+    encoded = json.JSONEncoder(indent=2).iterencode(report.to_dict(table=_EchoedColumn))
     _write_atomic(path, itertools.chain(encoded, ("\n",)), force)
 
 

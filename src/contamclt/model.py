@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import enum
 import math
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,9 +35,11 @@ class ContaminationScheme:
     """Per-index mixture weights p_k and inflation factors sigma_k^2.
 
     Power-law schemes evaluate p_k = p * k**-a and sigma_k^2 = s2 * k**b for
-    every k >= 1.  Tabular schemes hold explicit finite sequences and refuse
-    to extrapolate past their stored length: silently repeating the last
-    entry would corrupt the cumulative variance asymptotics.
+    every k >= 1.  Tabular schemes hold finite sequences as two float64
+    ``bytes`` (16 B a row; ``tabular`` keeps bytes it is given, uncopied), so
+    a scheme hashes, compares and pickles as a memory copy.  They refuse to
+    extrapolate past their stored length: silently repeating the last entry
+    would corrupt the cumulative variance asymptotics.
     """
 
     kind: SchemeKind
@@ -44,8 +47,8 @@ class ContaminationScheme:
     a: float = 1.0
     s2: float = 1.0
     b: float = 1.0
-    p_table: tuple[float, ...] = field(default=(), repr=False)
-    sigma2_table: tuple[float, ...] = field(default=(), repr=False)
+    p_table: bytes = field(default=b"", repr=False)  # float64, native byte order
+    sigma2_table: bytes = field(default=b"", repr=False)
 
     @staticmethod
     def power_law(p: float, a: float, s2: float, b: float) -> "ContaminationScheme":
@@ -62,16 +65,19 @@ class ContaminationScheme:
 
     @staticmethod
     def tabular(p_k, sigma2_k) -> "ContaminationScheme":
-        p_arr = tuple(float(x) for x in p_k)
-        s_arr = tuple(float(x) for x in sigma2_k)
-        if len(p_arr) == 0 or len(p_arr) != len(s_arr):
+        p_table, s_table = (x if type(x) is bytes else array("d", x).tobytes()
+                            for x in (p_k, sigma2_k))
+        p_arr, s_arr = np.frombuffer(p_table), np.frombuffer(s_table)
+        if p_arr.size == 0 or p_arr.size != s_arr.size:
             raise ValueError("tabular scheme needs equal-length, nonempty sequences")
-        for i, (pk, sk) in enumerate(zip(p_arr, s_arr)):
-            if not (math.isfinite(pk) and 0.0 <= pk <= 1.0):
-                raise ValueError(f"p_k out of [0, 1] at index {i + 1}: {pk}")
-            if not (math.isfinite(sk) and sk >= 1.0):
-                raise ValueError(f"sigma2_k below 1 at index {i + 1}: {sk}")
-        return ContaminationScheme(SchemeKind.TABULAR, p_table=p_arr, sigma2_table=s_arr)
+        p_ok = (p_arr >= 0.0) & (p_arr <= 1.0)  # nan fails every comparison
+        ok = p_ok & (s_arr >= 1.0) & (s_arr < math.inf)
+        if not ok.all():
+            i = int(np.argmin(ok))  # the first bad index; there p_k is checked first
+            what, value = (("p_k out of [0, 1]", p_arr[i]) if not p_ok[i]
+                           else ("sigma2_k below 1", s_arr[i]))
+            raise ValueError(f"{what} at index {i + 1}: {float(value)}")
+        return ContaminationScheme(SchemeKind.TABULAR, p_table=p_table, sigma2_table=s_table)
 
     @staticmethod
     def uncontaminated() -> "ContaminationScheme":
@@ -81,7 +87,7 @@ class ContaminationScheme:
     def length(self) -> int | None:
         """Largest valid index, or None when the scheme is unbounded."""
         if self.kind is SchemeKind.TABULAR:
-            return len(self.p_table)
+            return len(self.p_table) // 8
         return None
 
     def weights(self, n: int, start: int = 1) -> tuple[np.ndarray, np.ndarray]:
@@ -95,12 +101,11 @@ class ContaminationScheme:
         if self.kind is SchemeKind.POWER_LAW:
             k = np.arange(start, n + 1, dtype=np.float64)
             return self.p * k ** -self.a, self.s2 * k ** self.b
-        if n > len(self.p_table):
-            raise IndexError(
-                f"tabular scheme holds {len(self.p_table)} entries; index {n} is out of range"
-            )
-        return (np.asarray(self.p_table[start - 1:n]),
-                np.asarray(self.sigma2_table[start - 1:n]))
+        if n > self.length:
+            raise IndexError(f"tabular scheme holds {self.length} entries; "
+                             f"index {n} is out of range")
+        return (np.frombuffer(self.p_table)[start - 1:n].copy(),
+                np.frombuffer(self.sigma2_table)[start - 1:n].copy())
 
 
 # ---------------------------------------------------------------------------

@@ -292,7 +292,7 @@ def test_criterion_5_property_suites():
     # s_n^2 >= n on 1000 randomized tabular schemes
     for i in range(1000):
         scheme = _random_tabular(rng)
-        n = len(scheme.p_table)
+        n = scheme.length
         if array_stats(scheme, n).s2_n < n:
             failures.append(f"s2_n < n for random scheme {i}")
             break
@@ -305,7 +305,7 @@ def test_criterion_5_property_suites():
         _random_tabular(rng, max_len=300),
     ]
     for scheme in probe_schemes:
-        n = min(200, len(scheme.p_table) if scheme.length else 200)
+        n = min(200, scheme.length or 200)
         vals = lindeberg_row(scheme, NORMAL, n, eps_grid.tolist())
         if not all(0.0 <= v <= 1.0 for v in vals):
             failures.append("lindeberg sum escaped [0, 1]")

@@ -4,6 +4,7 @@ import importlib.util
 import io
 import json
 import os
+import pickle
 import re
 import signal
 import subprocess
@@ -22,7 +23,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import contamclt.cli as cli
-from contamclt import analytic
+from contamclt import analytic, experiment
 from contamclt.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_VALIDATION, SETTINGS, main
 from contamclt.experiment import (
     ConfigError,
@@ -122,6 +123,18 @@ def test_emit_json_streams_the_report(small_report, tmp_path):
     assert path.stat().st_size > 1.5e6
     assert path.read_text() == json.dumps(report.to_dict(), indent=2) + "\n"
     assert peak < 2 ** 20
+
+
+@pytest.mark.parametrize("rows", [1, experiment._EchoedColumn.SLICE - 1,
+                                  experiment._EchoedColumn.SLICE,
+                                  experiment._EchoedColumn.SLICE + 1])
+def test_emit_json_echoes_a_table_across_slice_boundaries(rows, small_report, tmp_path):
+    rng = np.random.default_rng(rows)
+    table = ContaminationScheme.tabular(rng.random(rows), 1.0 + 99.0 * rng.random(rows))
+    report = replace(small_report, config=replace(small_report.config, scheme=table))
+    path = tmp_path / "report.json"
+    emit_json(report, str(path))
+    assert path.read_text() == json.dumps(report.to_dict(), indent=2) + "\n"
 
 
 def test_uncontaminated_report_has_no_classification(tmp_path):
@@ -247,6 +260,32 @@ def test_load_tabular_scheme_bad_row(tmp_path):
     path.write_text('p_k,sigma2_k\n"0.1\n",2\n0.2,3\nbad,4\n')
     with pytest.raises(ConfigError, match=r"scheme\.csv:5: malformed row \['bad', '4'\]"):
         load_tabular_scheme(str(path))
+
+
+def test_load_tabular_scheme_skips_a_byte_order_mark(tmp_path):
+    # as Excel's "CSV UTF-8" writes it
+    path = tmp_path / "scheme.csv"
+    path.write_bytes(b"\xef\xbb\xbfp_k,sigma2_k\r\n0.5,2.0\r\n0.25,3.0\r\n")
+    p, s2 = load_tabular_scheme(str(path)).weights(2)
+    assert (p.tolist(), s2.tolist()) == ([0.5, 0.25], [2.0, 3.0])
+
+
+def test_load_tabular_scheme_holds_16_bytes_a_row(tmp_path):
+    rows = 10 ** 5
+    rng = np.random.default_rng(7)
+    path = tmp_path / "scheme.csv"
+    path.write_text("p_k,sigma2_k\n" + "".join(
+        f"{p!r},{s!r}\n" for p, s in zip(rng.random(rows).tolist(),
+                                          (1.0 + 99.0 * rng.random(rows)).tolist())))
+    tracemalloc.start()
+    try:
+        scheme = load_tabular_scheme(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert scheme.length == rows
+    assert peak <= 32 * rows
+    assert len(pickle.dumps(scheme)) <= 16 * rows + 1024
 
 
 # ---------------------------------------------------------------------------
@@ -452,6 +491,16 @@ def test_cli_non_utf8_config_file(tmp_path, capsys):
     cfg.write_bytes(b"scheme = none\nn = 5\xff\n")
     assert main(["--config", str(cfg)]) == EXIT_VALIDATION
     assert f"error: {cfg}" in capsys.readouterr().err
+
+
+def test_cli_config_file_with_a_byte_order_mark(tmp_path, capsys):
+    # as Notepad writes a UTF-8 file
+    cfg = tmp_path / "bom.cfg"
+    cfg.write_bytes(b"\xef\xbb\xbfscheme = none\nn = 50\nreps = 20\nformats = json\n")
+    code = main(["--config", str(cfg), "--out", str(tmp_path / "out"), "--workers", "1",
+                 *_grid_args()])
+    assert code == EXIT_OK
+    assert json.loads((tmp_path / "out" / "report.json").read_text())["config"]["n"] == 50
 
 
 def test_cli_non_utf8_tabular_file(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Schemes, base distributions, and mixture sampling."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -95,6 +96,86 @@ def test_tabular_entry_bounds():
         ContaminationScheme.tabular([0.5], [0.9])
     with pytest.raises(ValueError):
         ContaminationScheme.tabular([], [])
+
+
+def _first_bad_entry(p_k, sigma2_k):
+    """The error of a per-index validation loop, the oracle: at each index in
+    turn, p_k before sigma2_k; None for a valid table."""
+    for i, (pk, sk) in enumerate(zip(p_k, sigma2_k)):
+        if not (math.isfinite(pk) and 0.0 <= pk <= 1.0):
+            return f"p_k out of [0, 1] at index {i + 1}: {pk}"
+        if not (math.isfinite(sk) and sk >= 1.0):
+            return f"sigma2_k below 1 at index {i + 1}: {sk}"
+    return None
+
+
+def _bad_tables():
+    m = 9
+    for at_index in (0, m // 2, m - 1):
+        for column, values in ((0, (math.nan, math.inf, -math.inf, -0.1, 1.5)),
+                               (1, (0.5, math.nan, math.inf))):
+            for value in values:
+                table = [[0.25] * m, [4.0] * m]
+                table[column][at_index] = value
+                yield table
+    table = [[0.25] * m, [4.0] * m]
+    table[0][4], table[1][4] = 1.5, 0.5  # both columns bad at one index
+    table[0][7] = math.nan  # and a later bad p_k
+    yield table
+    table = [[0.25] * m, [4.0] * m]
+    table[1][2], table[0][6] = math.inf, -0.1  # a bad sigma2_k before a bad p_k
+    yield table
+
+
+@pytest.mark.parametrize("p_k,sigma2_k", list(_bad_tables()))
+def test_tabular_names_the_first_bad_index_as_the_per_index_loop(p_k, sigma2_k):
+    expected = _first_bad_entry(p_k, sigma2_k)
+    assert expected is not None
+    with pytest.raises(ValueError) as raised:
+        ContaminationScheme.tabular(p_k, sigma2_k)
+    assert str(raised.value) == expected
+    with pytest.raises(ValueError) as raised:  # float64 bytes go through the same check
+        ContaminationScheme.tabular(np.array(p_k).tobytes(), np.array(sigma2_k).tobytes())
+    assert str(raised.value) == expected
+
+
+def test_tabular_refuses_unequal_nested_or_scalar_sequences():
+    with pytest.raises(ValueError, match="equal-length, nonempty"):
+        ContaminationScheme.tabular([0.5], [2.0, 2.0])
+    with pytest.raises(ValueError, match="equal-length, nonempty"):  # 8 bytes against 16
+        ContaminationScheme.tabular(bytes(8), bytes(16))
+    for p_k, sigma2_k in (([[0.5]], [[2.0]]), (np.full((1, 2), 0.5), np.full((1, 2), 2.0)),
+                          (0.5, 2.0)):
+        with pytest.raises(TypeError):
+            ContaminationScheme.tabular(p_k, sigma2_k)
+
+
+def test_equal_tables_give_equal_hashes_and_survive_pickle():
+    a = ContaminationScheme.tabular([0.5, 0.25, 0.0], [2.0, 3.0, 1.0])
+    b = ContaminationScheme.tabular(np.array([0.5, 0.25, 0.0]), (2.0, 3, 1))
+    assert a == b and hash(a) == hash(b)
+    assert a != ContaminationScheme.tabular([0.5, 0.25, 0.0], [2.0, 3.0, 1.5])
+    back = pickle.loads(pickle.dumps(a))
+    assert back == a and hash(back) == hash(a) and back.length == 3
+    assert len(pickle.dumps(a)) < len(pickle.dumps(a.p_table)) + 1024  # no per-float opcodes
+
+
+def test_tabular_holds_float64_bytes_as_given():
+    p, s2 = np.array([0.5, 0.25]).tobytes(), np.array([2.0, 3.0]).tobytes()
+    scheme = ContaminationScheme.tabular(p, s2)
+    assert scheme.p_table is p and scheme.sigma2_table is s2
+
+
+def test_tabular_weights_are_fresh_writable_slices():
+    p_k, s2_k = [0.1, 0.2, 0.3, 0.4, 0.5], [1.5, 2.5, 3.5, 4.5, 5.5]
+    scheme = ContaminationScheme.tabular(p_k, s2_k)
+    for n in range(1, 6):
+        for start in range(1, n + 1):
+            p, s2 = scheme.weights(n, start)
+            assert (p.tolist(), s2.tolist()) == (p_k[start - 1:n], s2_k[start - 1:n])
+            p[:] = s2[:] = -1.0  # the caller may overwrite them
+    p, s2 = scheme.weights(5)
+    assert (p.tolist(), s2.tolist()) == (p_k, s2_k)
 
 
 def test_weights_match_scalar_evaluation():
