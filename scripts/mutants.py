@@ -107,6 +107,16 @@ MUTANTS = (
     Mutant("base-weight-top-row", "src/contamclt/analytic.py",
            "float(np.sum(moment[:stats.n]))", "float(np.sum(moment))",
            ("tests/test_analytic.py::test_index_estimate_equals_the_rule_over_all_columns",)),
+    # no memo, so each diagnostic walks the grid again
+    Mutant("walk-memo-off", "src/contamclt/analytic.py",
+           "@functools.lru_cache(maxsize=1)", "@functools.lru_cache(maxsize=0)",
+           ("tests/test_experiment_cli.py::test_run_experiment_walks_the_grid_once",)),
+    # tables equal whatever their sigma2_k, so the memo hands one table another's walk
+    Mutant("memo-key-drops-sigma2", "src/contamclt/model.py",
+           'sigma2_table: bytes = field(default=b"", repr=False)',
+           'sigma2_table: bytes = field(default=b"", repr=False, compare=False)',
+           ("tests/test_analytic.py::"
+            "test_grid_walk_memo_gives_each_scheme_and_grid_its_own_walk",)),
     # a bad table entry named at the index before it
     Mutant("bad-index-one-off", "src/contamclt/model.py",
            "at index {i + 1}", "at index {i}",

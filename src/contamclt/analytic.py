@@ -10,17 +10,19 @@ ever show a trend, so limit-valued quantities are reported together with the
 rule that produced them (see ``Trend`` and the index-estimate notes below).
 
 ``grid_walk`` is the one pass over k = 1..max(n_grid) that the conditions,
-the index bound and the index estimate share through their ``walk``
-argument; it keeps only the ``ArrayStats``.  The Lindeberg rows are prefixes
-of the top row, whose weights the index estimate fetches once more.
+the index bound and the index estimate share: it keeps only the
+``ArrayStats`` and remembers its last (scheme, grid), so a run of the five
+diagnostics on one scheme and grid walks once.  The Lindeberg rows are
+prefixes of the top row, whose weights the index estimate fetches once more.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr
@@ -119,18 +121,11 @@ class ArrayStats:
     max_sigma2: float          # max_k sigma_k^2
 
 
-@dataclass(frozen=True)
-class GridWalk:
-    """ArrayStats at every point of the grid a scheme was walked on."""
-
-    scheme: ContaminationScheme = field(repr=False)
-    grid: tuple[int, ...]
-    stats: tuple[ArrayStats, ...]
-
-
-def grid_walk(scheme: ContaminationScheme, n_grid) -> GridWalk:
-    """One chunk-aligned pass over k = 1..max(n_grid), with exact partial sums."""
-    grid = tuple(int(n) for n in n_grid)
+@functools.lru_cache(maxsize=1)
+def grid_walk(scheme: ContaminationScheme, grid: tuple[int, ...]) -> tuple[ArrayStats, ...]:
+    """ArrayStats at each n of ``grid``, a tuple, from one chunk-aligned pass over
+    k = 1..max(grid) with exact partial sums.  The last (scheme, grid) is memoized."""
+    grid = tuple(int(n) for n in grid)
     if not grid or grid[0] < 1 or any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError(f"sample sizes must be increasing and >= 1, got {grid}")
     top = grid[-1]
@@ -150,20 +145,12 @@ def grid_walk(scheme: ContaminationScheme, n_grid) -> GridWalk:
                 s2_n = (float(n) - acc[0]) + acc[1]
                 stats.append(ArrayStats(n, s2_n, acc[1] / n, acc[2] / s2_n, acc[3]))
         run = acc
-    return GridWalk(scheme, grid, tuple(stats))
+    return tuple(stats)
 
 
 def array_stats(scheme: ContaminationScheme, n: int) -> ArrayStats:
     """Exact one-pass partial sums for k = 1..n."""
-    return grid_walk(scheme, (n,)).stats[0]
-
-
-def _walked(scheme: ContaminationScheme, n_grid, walk: GridWalk | None) -> GridWalk:
-    """``walk`` if it was made for this scheme and n_grid, else a new walk."""
-    grid = validate_geometric_grid(n_grid)
-    if walk is not None and (walk.grid != grid or walk.scheme != scheme):
-        raise ValueError("walk was made for a different scheme or n_grid")
-    return walk or grid_walk(scheme, grid)
+    return grid_walk(scheme, (n,))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -253,35 +240,38 @@ def _classify_trend(vals: list[float]) -> tuple[Trend, float | None]:
     return Trend.UNDETERMINED, None
 
 
-def _limit_estimate(walk: GridWalk, value_fn) -> LimitEstimate:
-    values = [(s.n, float(value_fn(s))) for s in walk.stats]
+def _limit_estimate(scheme: ContaminationScheme, n_grid, value_fn) -> LimitEstimate:
+    values = [(s.n, float(value_fn(s)))
+              for s in grid_walk(scheme, validate_geometric_grid(n_grid))]
     vals = [v for _, v in values]
     trend, estimate = _classify_trend(vals)
     return LimitEstimate(values=tuple(values), last=vals[-1], trend=trend,
                          estimate=estimate)
 
 
-def condition_a(scheme: ContaminationScheme, n_grid=DEFAULT_N_GRID, walk=None) -> LimitEstimate:
+def condition_a(scheme: ContaminationScheme, n_grid=DEFAULT_N_GRID) -> LimitEstimate:
     """Does (1/n^2) * sum p_k sigma_k^2 vanish?  Governs weak consistency."""
-    return _limit_estimate(_walked(scheme, n_grid, walk), lambda s: s.contamination_mass / s.n)
+    return _limit_estimate(scheme, n_grid, lambda s: s.contamination_mass / s.n)
 
 
-def condition_b(scheme: ContaminationScheme, n_grid=DEFAULT_N_GRID, walk=None) -> LimitEstimate:
+def condition_b(scheme: ContaminationScheme, n_grid=DEFAULT_N_GRID) -> LimitEstimate:
     """Does (1/s_n^2) * max_k sigma_k^2 vanish?  Forces the Lindeberg condition."""
-    return _limit_estimate(_walked(scheme, n_grid, walk), lambda s: s.max_sigma2 / s.s2_n)
+    return _limit_estimate(scheme, n_grid, lambda s: s.max_sigma2 / s.s2_n)
 
 
-def condition_c(scheme: ContaminationScheme, n_grid=DEFAULT_N_GRID, walk=None) -> LimitEstimate:
+def condition_c(scheme: ContaminationScheme, n_grid=DEFAULT_N_GRID) -> LimitEstimate:
     """Does (1/s_n^2) * max_k p_k sigma_k^2 vanish?  Equivalent to Feller's condition."""
-    return _limit_estimate(_walked(scheme, n_grid, walk), lambda s: s.feller_max)
+    return _limit_estimate(scheme, n_grid, lambda s: s.feller_max)
 
 
 # ---------------------------------------------------------------------------
 # Lindeberg sums and index
 # ---------------------------------------------------------------------------
 
-def _lindeberg_columns(walk: GridWalk, dist: BaseDistribution, eps_list):
-    """Yield the Lindeberg sums of the walk's top-half rows at each eps of ``eps_list``.
+def _lindeberg_columns(scheme: ContaminationScheme, walk: tuple[ArrayStats, ...],
+                       dist: BaseDistribution, eps_list):
+    """Yield the Lindeberg sums of the top-half rows of ``scheme``'s ``walk`` at
+    each eps of ``eps_list``.
 
     A sum is the base term (threshold eps*s_n, weight sum(1 - p_k)) plus the
     inflated term (thresholds eps*s_n/sigma_k, weights p_k sigma_k^2), over
@@ -293,16 +283,16 @@ def _lindeberg_columns(walk: GridWalk, dist: BaseDistribution, eps_list):
     one ``np.dot`` reduces them.  A block whose thresholds eps*s_n/sigma_k are all
     at least ``dist.zero_from`` is zero-filled; none exceeds eps*s_n.
     """
-    top = walk.grid[-1]
+    top = walk[-1].n
     ps2, sigma, moment = np.empty(top), np.empty(top), np.empty(top)
     for lo in range(0, top, _BLOCK):
-        p, s2 = walk.scheme.weights(min(lo + _BLOCK, top), start=lo + 1)
+        p, s2 = scheme.weights(min(lo + _BLOCK, top), start=lo + 1)
         hi = lo + p.size
         np.subtract(1.0, p, out=moment[lo:hi])
         np.multiply(p, s2, out=ps2[lo:hi])
         np.sqrt(s2, out=sigma[lo:hi])
     plan = []  # per row: stats, s_n, sum(1 - p_k), each block's start and min s_n/sigma_k
-    for stats in walk.stats[len(walk.stats) // 2:]:
+    for stats in walk[len(walk) // 2:]:
         starts, s_n = range(0, stats.n, _BLOCK), math.sqrt(stats.s2_n)
         floors = (s_n / np.maximum.reduceat(sigma[:stats.n], starts)).tolist()
         plan.append((stats, s_n, float(np.sum(moment[:stats.n])), list(zip(starts, floors))))
@@ -346,7 +336,7 @@ def _row_limit_surrogate(col: list[float]) -> tuple[float, bool]:
 
 
 def lindeberg_index_estimate(scheme: ContaminationScheme, dist: BaseDistribution,
-                             n_grid=DEFAULT_N_GRID, eps_grid=DEFAULT_EPS_GRID, walk=None) -> float:
+                             n_grid=DEFAULT_N_GRID, eps_grid=DEFAULT_EPS_GRID) -> float:
     """Finite-grid estimate of the Lindeberg index sup_eps limsup_n of the sums.
 
     The sums are nonincreasing in eps, so the supremum is approached as eps
@@ -360,9 +350,9 @@ def lindeberg_index_estimate(scheme: ContaminationScheme, dist: BaseDistribution
     three-point window: the small-eps plateau value, clamped to [0, 1].
     """
     eps = validate_eps_grid(eps_grid)
-    walk = _walked(scheme, n_grid, walk)
+    walk = grid_walk(scheme, validate_geometric_grid(n_grid))
     # columns from the large-eps end, evaluated only as far as they are read
-    surrogates = map(_row_limit_surrogate, _lindeberg_columns(walk, dist, eps[::-1]))
+    surrogates = map(_row_limit_surrogate, _lindeberg_columns(scheme, walk, dist, eps[::-1]))
     g_top, top_trusted = next(surrogates)
     if not top_trusted:  # nothing resolvable; conservative grid maximum
         return max([g_top, *(v for v, _ in surrogates)])
@@ -375,13 +365,13 @@ def lindeberg_index_estimate(scheme: ContaminationScheme, dist: BaseDistribution
     return g[0]  # no plateau: smallest trusted eps
 
 
-def lindeberg_upper_bound(scheme: ContaminationScheme, n_grid=DEFAULT_N_GRID, walk=None) -> float:
+def lindeberg_upper_bound(scheme: ContaminationScheme, n_grid=DEFAULT_N_GRID) -> float:
     """Finite surrogate of limsup (1/s_n^2) * sum p_k sigma_k^2, clamped to [0, 1].
 
     This bounds the Lindeberg index from above for every scheme; the bound is
     attained for monotone inflation sequences growing at least linearly.
     """
-    stats = _walked(scheme, n_grid, walk).stats
+    stats = grid_walk(scheme, validate_geometric_grid(n_grid))
     best = max(0.0, *(s.contamination_mass * s.n / s.s2_n for s in stats[len(stats) // 2:]))
     return min(best, 1.0)
 

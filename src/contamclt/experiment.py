@@ -257,13 +257,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         classification = classify_power_law(config.scheme.p, config.scheme.a,
                                             config.scheme.s2, config.scheme.b)
 
-    walk = timed("walk", grid_walk(config.scheme, config.n_grid))
+    timed("walk", grid_walk(config.scheme, config.n_grid))  # the diagnostics read its memo
     conditions = timed("conditions", {
-        name: condition(config.scheme, config.n_grid, walk) for name, condition
+        name: condition(config.scheme, config.n_grid) for name, condition
         in (("A", condition_a), ("B", condition_b), ("C", condition_c))})
     index_estimate = timed("index estimate", lindeberg_index_estimate(
-        config.scheme, dist, config.n_grid, config.eps_grid, walk))
-    index_bound = timed("bound", lindeberg_upper_bound(config.scheme, config.n_grid, walk))
+        config.scheme, dist, config.n_grid, config.eps_grid))
+    index_bound = timed("bound", lindeberg_upper_bound(config.scheme, config.n_grid))
 
     result = timed("replicate", replicate(config.reps, config.n, config.scheme, dist,
                                           config.mu, config.seed, workers=config.workers))

@@ -86,7 +86,8 @@ def replicate(R: int, n: int, scheme: ContaminationScheme, dist: BaseDistributio
               mu: float, master_seed: int, workers: int = 1) -> ReplicationResult:
     """R independent standardized statistics from per-replicate split streams.
 
-    The result is a pure function of (R, n, scheme, dist, mu, master_seed);
+    The result is a pure function of (R, n, scheme, dist, master_seed); ``mu`` is
+    never read and stays only for ``perfbench/tracing.py``'s positional call.
     ``workers`` spreads the row sums over at most that many processes, never
     more than tasks or usable CPUs, and never changes a value.  s_n, a walk
     over k = 1..n that the draws do not need, comes after them.

@@ -76,8 +76,7 @@ def test_hand_computed_cumulative_variance_at_n2():
 
 def test_grid_walk_points_equal_fresh_stats():
     scheme = ContaminationScheme.power_law(0.37, 0.8, 7.0, 1.1)
-    walk = grid_walk(scheme, (45_000, 150_000))
-    for stats in walk.stats:
+    for stats in grid_walk(scheme, (45_000, 150_000)):
         fresh = array_stats(scheme, stats.n)
         assert stats == fresh
         assert stats.s2_n == fresh.s2_n
@@ -96,8 +95,8 @@ def test_grid_walk_across_chunk_boundaries():
         for grid in [(chunk - 1, chunk), (chunk, chunk + 1), (10, chunk + 10),
                      (chunk + 5, 3 * chunk + 7), (100, 5000, chunk, 2 * chunk + 3)]:
             walk = grid_walk(scheme, grid)
-            assert walk.grid == grid
-            assert walk.stats == tuple(array_stats(scheme, n) for n in grid)
+            assert tuple(stats.n for stats in walk) == grid
+            assert walk == tuple(array_stats(scheme, n) for n in grid)
             # the walk's chunks and a Lindeberg row's one whole-row fetch
             # must hold the same bits, or the Lindeberg sums would move
             top = grid[-1]
@@ -123,18 +122,41 @@ def test_walk_memory_does_not_grow_with_the_grid_top(walk, top):
     assert peak < 8 * 2 ** 20
 
 
-def test_walk_for_another_scheme_or_grid_is_refused():
-    other = ContaminationScheme.power_law(0.2, 1.0, 2.0, 1.0)
-    walk = grid_walk(CASE3, SMALL_GRID)
-    assert condition_a(CASE3, SMALL_GRID, walk) == condition_a(CASE3, SMALL_GRID)
-    with pytest.raises(ValueError):
-        condition_a(other, SMALL_GRID, walk)
-    with pytest.raises(ValueError):
-        lindeberg_upper_bound(CASE3, tuple(2 * n for n in SMALL_GRID), walk)
+def test_decreasing_grid_and_zero_n_are_refused():
     with pytest.raises(ValueError):
         grid_walk(CASE3, (100, 50))
     with pytest.raises(ValueError):
         array_stats(CASE3, 0)
+
+
+def test_grid_walk_memo_gives_each_scheme_and_grid_its_own_walk():
+    # the memo keeps one (scheme, grid); interleave schemes on one grid, one
+    # scheme on two grids, and two tables that differ in one sigma2_k only
+    rng = np.random.default_rng(22)
+    p, s2 = rng.random(400), 1.0 + 50.0 * rng.random(400)
+    table = ContaminationScheme.tabular(p, s2)
+    s2[250] += 1.0  # k = 251, below the top of both grids
+    near = ContaminationScheme.tabular(p, s2)
+    other = ContaminationScheme.power_law(0.2, 1.0, 2.0, 1.0)
+    g1, g2 = tuple(10 * 2 ** j for j in range(6)), tuple(12 * 2 ** j for j in range(6))
+    uncached = grid_walk.__wrapped__
+    assert uncached(table, g1) != uncached(near, g1)
+    assert uncached(table, g2) != uncached(near, g2)
+    for scheme, grid in [(CASE3, g1), (other, g1), (CASE3, g1), (table, g1), (near, g1),
+                         (table, g1), (CASE3, g2), (CASE3, g1), (near, g2), (table, g2),
+                         (near, g1), (near, g1)]:
+        assert grid_walk(scheme, grid) == uncached(scheme, grid)
+    # the diagnostics read the memo too; CASE3 and other share p*s2 = 0.4, so
+    # their condition A values are equal and condition B tells them apart
+    b_case3, b_other = condition_b(CASE3, g1), condition_b(other, g1)
+    assert b_case3.values != b_other.values
+    assert b_other.values == tuple((s.n, s.max_sigma2 / s.s2_n) for s in uncached(other, g1))
+    # a walk that raised is not kept: it raises again, and a walk after it is right
+    short = ContaminationScheme.tabular(p[:100], s2[:100])
+    for _ in range(2):
+        with pytest.raises(IndexError):
+            grid_walk(short, g1)
+    assert grid_walk(table, g1) == uncached(table, g1)
 
 
 def test_s2_strictly_increasing_in_n():
@@ -249,7 +271,7 @@ def test_grid_ratios_are_checked_against_their_median():
 def lindeberg_row(scheme, dist, n, eps_list):
     """The Lindeberg sums of row n at each eps, as the index estimate evaluates them."""
     walk = grid_walk(scheme, (n,))
-    return [value for [value] in analytic._lindeberg_columns(walk, dist, eps_list)]
+    return [value for [value] in analytic._lindeberg_columns(scheme, walk, dist, eps_list)]
 
 
 def test_lindeberg_sum_uniform_vanishes_beyond_support():
@@ -448,7 +470,7 @@ def test_index_estimate_evaluates_no_column_below_the_first_untrusted(scheme, to
     assert trusted[-1] is top_trusted
     lindeberg_index_estimate(scheme, Counted(), SMALL_GRID)
     walk = grid_walk(scheme, SMALL_GRID)
-    s_ns = [math.sqrt(s.s2_n) for s in walk.stats[len(walk.stats) // 2:]]
+    s_ns = [math.sqrt(s.s2_n) for s in walk[len(walk) // 2:]]
     if top_trusted:  # from the largest eps down to the first untrusted column
         count = len(trusted) - max(j for j, ok in enumerate(trusted) if not ok)
         assert count < len(trusted)

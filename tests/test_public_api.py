@@ -8,6 +8,8 @@ test-only API: delete it, or make it private, and port its tests.
 """
 
 import ast
+import contextlib
+import io
 import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -59,3 +61,15 @@ def test_every_public_name_is_used_by_the_program():
     unused = [f"{where[0].name}: {name}" for name, where in public.items()
               if not users.get(name, set()) - {where}]
     assert not unused, f"public names only the tests reach: {unused}"
+
+
+def test_readme_library_example_runs_as_written():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    example = readme.split("## Library example", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(example, "README.md", "exec"), {"__name__": "readme_example"})
+    _, estimate, bound, ks = out.getvalue().splitlines()
+    for value in (estimate, bound):
+        assert abs(float(value) - 2.0 / 7.0) <= 0.01
+    assert 0.0 <= float(ks) <= 1.0
