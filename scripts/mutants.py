@@ -94,10 +94,20 @@ MUTANTS = (
             "test_ks_equals_the_whole_array_formula_across_level_blocks",
             "tests/test_analytic.py::"
             "test_qq_equals_the_whole_array_search_across_level_blocks")),
-    # the index estimate stops at an untrusted largest-eps column too
-    Mutant("untrusted-top-stops", "src/contamclt/analytic.py",
-           "if not top_trusted:", "if False:",
+    # an unresolved largest-eps column read as index 1, not as the bound
+    Mutant("unresolved-top-reads-one", "src/contamclt/analytic.py",
+           "return lindeberg_upper_bound(scheme, n_grid)", "return 1.0",
            ("tests/test_analytic.py::test_index_estimate_equals_the_rule_over_all_columns",)),
+    # only falling columns extrapolated, so a = b > 1, whose columns rise, reads the bound
+    Mutant("one-sign-only", "src/contamclt/analytic.py",
+           "if 0.0 not in diffs and", "if all(d < 0.0 for d in diffs) and",
+           ("tests/test_analytic.py::"
+            "test_index_estimate_matches_the_closed_form_index[0.05-1.5-2-1.5-normal]",)),
+    # no column resolved by the conditions' converging-to-zero verdict
+    Mutant("zero-verdict-off", "src/contamclt/analytic.py",
+           "if _classify_trend(col)[0] is Trend.CONVERGING_TO_ZERO:", "if False:",
+           ("tests/test_analytic.py::"
+            "test_index_estimate_matches_the_closed_form_index[0.5-1.5-25-1-normal]",)),
     # a block zero-filled from its smallest sigma_k, so from its largest threshold
     Mutant("zero-fill-from-min-sigma", "src/contamclt/analytic.py",
            "np.maximum.reduceat(sigma[:stats.n], starts)",

@@ -315,24 +315,22 @@ def _lindeberg_columns(scheme: ContaminationScheme, walk: tuple[ArrayStats, ...]
         yield col
 
 
-def _row_limit_surrogate(col: list[float]) -> tuple[float, bool]:
-    """Estimate lim sup over n from values on the top half of the n-grid.
+def _row_limit_surrogate(col: list[float]) -> float | None:
+    """Estimate lim sup over n from values on the top half of the n-grid; None where
+    the grid has not yet reached the limiting regime.
 
-    Returns (value, trusted).  The estimate is trusted when the values have
-    either converged (spread below 1e-3) or decrease with consistently
-    contracting differences, in which case the Aitken limit is used.  An
-    untrusted column falls back to the conservative grid maximum; it marks an
-    epsilon at which the grid has not yet reached the limiting regime.
+    Resolved are values that have converged (spread below 1e-3), that move one way
+    with consistently contracting differences (the Aitken limit is used), or that
+    ``_classify_trend`` reads as converging to zero, as the conditions do.
     """
-    vmax = max(col)
-    if vmax - min(col) <= 1e-3:
-        return vmax, True
+    if max(col) - min(col) <= 1e-3:
+        return max(col)
     diffs = [b - a for a, b in zip(col, col[1:])]
-    if all(d < 0.0 for d in diffs):
-        ratios = [d2 / d1 for d1, d2 in zip(diffs, diffs[1:])]
-        if all(0.0 < q <= 0.97 for q in ratios):
-            return min(max(_aitken(*col[-3:]), 0.0), 1.0), True
-    return vmax, False
+    if 0.0 not in diffs and all(0.0 < d2 / d1 <= 0.97 for d1, d2 in zip(diffs, diffs[1:])):
+        return min(max(_aitken(*col[-3:]), 0.0), 1.0)
+    if _classify_trend(col)[0] is Trend.CONVERGING_TO_ZERO:
+        return 0.0
+    return None
 
 
 def lindeberg_index_estimate(scheme: ContaminationScheme, dist: BaseDistribution,
@@ -343,26 +341,25 @@ def lindeberg_index_estimate(scheme: ContaminationScheme, dist: BaseDistribution
     decreases; but at any finite n the sums also saturate to 1 as eps -> 0,
     a finite-size artifact rather than the limit.  The estimator therefore
     descends the eps grid from its large end and only keeps going while the
-    n-direction limit stays resolvable on the grid (values converged, or
-    decreasing with consistent contraction; see ``_row_limit_surrogate``).
-    Within that trusted range it reports the value at the smallest eps whose
+    n-direction limit stays resolvable on the grid (see ``_row_limit_surrogate``).
+    Within that resolved range it reports the value at the smallest eps whose
     successive refinements change the estimate by less than 1e-3 over a
-    three-point window: the small-eps plateau value, clamped to [0, 1].
+    three-point window: the small-eps plateau value, clamped to [0, 1].  If even
+    the largest eps is unresolved, it reports ``lindeberg_upper_bound``.
     """
     eps = validate_eps_grid(eps_grid)
     walk = grid_walk(scheme, validate_geometric_grid(n_grid))
     # columns from the large-eps end, evaluated only as far as they are read
     surrogates = map(_row_limit_surrogate, _lindeberg_columns(scheme, walk, dist, eps[::-1]))
-    g_top, top_trusted = next(surrogates)
-    if not top_trusted:  # nothing resolvable; conservative grid maximum
-        return max([g_top, *(v for v, _ in surrogates)])
-    # the contiguous trusted suffix reachable from the large-eps end, ascending
-    g = [v for v, _ in itertools.takewhile(lambda s: s[1], surrogates)][::-1] + [g_top]
+    # the contiguous resolved suffix reachable from the large-eps end, ascending
+    g = list(itertools.takewhile(lambda v: v is not None, surrogates))[::-1]
+    if not g:
+        return lindeberg_upper_bound(scheme, n_grid)
     for width in (2, 1):  # prefer a three-point plateau, fall back to two
         for j in range(len(g) - width):
             if all(abs(g[i + 1] - g[i]) < 1e-3 for i in range(j, j + width)):
                 return g[j]
-    return g[0]  # no plateau: smallest trusted eps
+    return g[0]  # no plateau: smallest resolved eps
 
 
 def lindeberg_upper_bound(scheme: ContaminationScheme, n_grid=DEFAULT_N_GRID) -> float:
