@@ -108,11 +108,12 @@ MUTANTS = (
            "if _classify_trend(col)[0] is Trend.CONVERGING_TO_ZERO:", "if False:",
            ("tests/test_analytic.py::"
             "test_index_estimate_matches_the_closed_form_index[0.5-1.5-25-1-normal]",)),
-    # a block zero-filled from its smallest sigma_k, so from its largest threshold
-    Mutant("zero-fill-from-min-sigma", "src/contamclt/analytic.py",
-           "np.maximum.reduceat(sigma[:stats.n], starts)",
-           "np.minimum.reduceat(sigma[:stats.n], starts)",
-           ("tests/test_analytic.py::test_blocked_lindeberg_values_equal_row_at_once",)),
+    # the closed form skipped from a block's largest threshold, so for straddling blocks
+    Mutant("skip-from-max-threshold", "src/contamclt/model.py",
+           "if lo < self.zero_from:", "if hi < self.zero_from:",
+           ("tests/test_model.py::"
+            "test_truncated_moment_skips_the_closed_form_wholly_past_zero_from",
+            "tests/test_analytic.py::test_blocked_lindeberg_values_equal_row_at_once")),
     # every row's base weight summed over the whole top row
     Mutant("base-weight-top-row", "src/contamclt/analytic.py",
            "float(np.sum(moment[:stats.n]))", "float(np.sum(moment))",

@@ -279,9 +279,8 @@ def _lindeberg_columns(scheme: ContaminationScheme, walk: tuple[ArrayStats, ...]
 
     The rows are prefixes of the top row: its 1 - p_k, p_k sigma_k^2 and sigma_k
     are fetched once, in blocks bit-equal to the walk's chunks, and each row reads
-    prefix views.  A row's tail moments overwrite the 1 - p_k block by block, and
-    one ``np.dot`` reduces them.  A block whose thresholds eps*s_n/sigma_k are all
-    at least ``dist.zero_from`` is zero-filled; none exceeds eps*s_n.
+    prefix views.  A row's tail moments at eps*s_n/sigma_k, none above eps*s_n,
+    overwrite the 1 - p_k block by block, and one ``np.dot`` reduces them.
     """
     top = walk[-1].n
     ps2, sigma, moment = np.empty(top), np.empty(top), np.empty(top)
@@ -291,25 +290,19 @@ def _lindeberg_columns(scheme: ContaminationScheme, walk: tuple[ArrayStats, ...]
         np.subtract(1.0, p, out=moment[lo:hi])
         np.multiply(p, s2, out=ps2[lo:hi])
         np.sqrt(s2, out=sigma[lo:hi])
-    plan = []  # per row: stats, s_n, sum(1 - p_k), each block's start and min s_n/sigma_k
-    for stats in walk[len(walk) // 2:]:
-        starts, s_n = range(0, stats.n, _BLOCK), math.sqrt(stats.s2_n)
-        floors = (s_n / np.maximum.reduceat(sigma[:stats.n], starts)).tolist()
-        plan.append((stats, s_n, float(np.sum(moment[:stats.n])), list(zip(starts, floors))))
+    rows = [(stats, math.sqrt(stats.s2_n), float(np.sum(moment[:stats.n])))
+            for stats in walk[len(walk) // 2:]]  # per row: stats, s_n, sum(1 - p_k)
     t = np.empty(min(top, _BLOCK))
     for eps in eps_list:
         col = []
-        for stats, s_n, base_weight, blocks in plan:
+        for stats, s_n, base_weight in rows:
             if not math.isfinite(eps * s_n):
                 raise ValueError(f"Lindeberg threshold eps*s_n is inf at eps={eps!r}, n={stats.n}")
             term_base = base_weight * dist.truncated_second_moment(eps * s_n)
-            for lo, floor in blocks:
+            for lo in range(0, stats.n, _BLOCK):
                 hi = min(lo + _BLOCK, stats.n)
-                if eps * floor >= dist.zero_from:
-                    moment[lo:hi] = 0.0
-                else:
-                    tb = np.divide(s_n, sigma[lo:hi], out=t[:hi - lo])
-                    dist.truncated_second_moment(np.multiply(tb, eps, out=tb), out=moment[lo:hi])
+                tb = np.divide(s_n, sigma[lo:hi], out=t[:hi - lo])
+                dist.truncated_second_moment(np.multiply(tb, eps, out=tb), out=moment[lo:hi])
             term_inflated = float(np.dot(ps2[:stats.n], moment[:stats.n]))
             col.append(min(max((term_base + term_inflated) / stats.s2_n, 0.0), 1.0))
         yield col

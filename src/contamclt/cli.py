@@ -26,7 +26,6 @@ os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
 
 from .experiment import (  # noqa: E402
     FORMATS,
-    ConfigError,
     ExperimentConfig,
     load_tabular_scheme,
     run_experiment,
@@ -117,9 +116,9 @@ def read_config_file(path: str) -> dict:
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
         if key not in SETTINGS or not value:
-            raise ConfigError(f"{path}:{lineno}: unknown or malformed setting {raw.strip()!r}")
+            raise ValueError(f"{path}:{lineno}: unknown or malformed setting {raw.strip()!r}")
         if key in settings:
-            raise ConfigError(f"{path}:{lineno}: setting {key!r} given twice")
+            raise ValueError(f"{path}:{lineno}: setting {key!r} given twice")
         settings[key] = value
     return settings
 
@@ -128,7 +127,7 @@ def _convert(key: str, text: str):
     try:
         return SETTINGS[key][0](text)
     except ValueError as exc:
-        raise ConfigError(f"setting {key}={text!r} is invalid: {exc}") from None
+        raise ValueError(f"setting {key}={text!r} is invalid: {exc}") from None
 
 
 def config_from_settings(settings: dict) -> ExperimentConfig:
@@ -138,18 +137,15 @@ def config_from_settings(settings: dict) -> ExperimentConfig:
     power = {key: values.pop(key) for key in ("p", "a", "s2", "b") if key in values}
     if kind is SchemeKind.TABULAR:
         if not values.get("tabular"):
-            raise ConfigError("scheme 'tabular' needs a tabular CSV path")
+            raise ValueError("scheme 'tabular' needs a tabular CSV path")
         scheme = load_tabular_scheme(values["tabular"])
     elif kind is SchemeKind.UNCONTAMINATED:
         scheme = ContaminationScheme.uncontaminated()
     else:
         missing = [key for key in ("p", "a", "s2", "b") if key not in power]
         if missing:
-            raise ConfigError(f"power-law scheme needs parameters {missing}")
-        try:
-            scheme = ContaminationScheme.power_law(**power)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+            raise ValueError(f"power-law scheme needs parameters {missing}")
+        scheme = ContaminationScheme.power_law(**power)
     values.setdefault("workers", _usable_cpus())
     return ExperimentConfig(scheme=scheme, **values)
 

@@ -46,10 +46,6 @@ DEFAULT_SEED = 2718281828
 FORMATS = ("csv", "svg", "json")
 
 
-class ConfigError(ValueError):
-    """Invalid experiment configuration."""
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything that identifies an experiment.
@@ -75,29 +71,26 @@ class ExperimentConfig:
     tabular: str | None = field(default=None, compare=False)
 
     def validated(self) -> "ExperimentConfig":
-        try:
-            base_distribution(self.dist)
-            n_grid = validate_geometric_grid(self.n_grid)
-            eps_grid = validate_eps_grid(self.eps_grid)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        base_distribution(self.dist)
+        n_grid = validate_geometric_grid(self.n_grid)
+        eps_grid = validate_eps_grid(self.eps_grid)
         if not math.isfinite(self.mu):
-            raise ConfigError(f"mu must be finite, got {self.mu}")
+            raise ValueError(f"mu must be finite, got {self.mu}")
         if self.n < 1:
-            raise ConfigError(f"n must be >= 1, got {self.n}")
+            raise ValueError(f"n must be >= 1, got {self.n}")
         if self.reps < 1:
-            raise ConfigError(f"reps must be >= 1, got {self.reps}")
+            raise ValueError(f"reps must be >= 1, got {self.reps}")
         if self.workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {self.workers}")
+            raise ValueError(f"workers must be >= 1, got {self.workers}")
         if not (0 <= self.seed < 2 ** 64):
-            raise ConfigError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
+            raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
         bad = [f for f in self.formats if f not in FORMATS]
         if bad:
-            raise ConfigError(f"unknown output formats {bad}; choose from {FORMATS}")
+            raise ValueError(f"unknown output formats {bad}; choose from {FORMATS}")
         length = self.scheme.length
         needed = max(self.n, n_grid[-1])
         if length is not None and length < needed:
-            raise ConfigError(
+            raise ValueError(
                 f"tabular scheme holds {length} entries but the run needs {needed}"
             )
         sc = self.scheme
@@ -108,7 +101,7 @@ class ExperimentConfig:
             except OverflowError:  # a float power overflows by raising
                 top = math.inf
             if top == math.inf:
-                raise ConfigError(f"power law s2={sc.s2}, b={sc.b} overflows at k={needed}")
+                raise ValueError(f"power law s2={sc.s2}, b={sc.b} overflows at k={needed}")
         return replace(self, n_grid=n_grid, eps_grid=eps_grid,
                        formats=tuple(self.formats))
 
@@ -194,12 +187,12 @@ class ExperimentReport:
 
 def utf8_lines(path: str):
     """The lines of a UTF-8 text file, read lazily with their endings as written and
-    a leading BOM dropped; a decode error becomes a ConfigError naming the file."""
+    a leading BOM dropped; a decode error becomes a ValueError naming the file."""
     try:
         with open(path, newline="", encoding="utf-8-sig") as handle:
             yield from handle
     except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
+        raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 def load_tabular_scheme(path: str) -> ContaminationScheme:
@@ -210,7 +203,7 @@ def load_tabular_scheme(path: str) -> ContaminationScheme:
     try:
         header = next(reader, None)
         if header is None or [h.strip() for h in header[:2]] != ["p_k", "sigma2_k"]:
-            raise ConfigError(f"{path}: expected header 'p_k,sigma2_k', got {header!r}")
+            raise ValueError(f"{path}: expected header 'p_k,sigma2_k', got {header!r}")
         for row in reader:
             if not "".join(row).strip():  # no cells, or blank ones only
                 continue
@@ -218,15 +211,15 @@ def load_tabular_scheme(path: str) -> ContaminationScheme:
                 p_col.append(float(row[0]))
                 s_col.append(float(row[1]))
             except (IndexError, ValueError):
-                raise ConfigError(f"{path}:{reader.line_num}: malformed row {row!r}") from None
+                raise ValueError(f"{path}:{reader.line_num}: malformed row {row!r}") from None
     except csv.Error as exc:  # a field longer than csv.field_size_limit()
-        raise ConfigError(f"{path}:{reader.line_num}: {exc}") from None
+        raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
     p_col = p_col.tobytes()  # rebinding frees each array before the next copy is made
     s_col = s_col.tobytes()
     try:
         return ContaminationScheme.tabular(p_col, s_col)
     except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+        raise ValueError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -117,8 +117,8 @@ class BaseDistribution:
 
     Subclasses provide draws and the truncated second moment in closed form
     (``_tail_moment``).  ``zero_from`` is a threshold from which the moment
-    is exactly +0.0 in float64, not a subnormal; there the closed form may
-    overflow, so +0.0 is written in its place.
+    is exactly +0.0 in float64, not a subnormal; there +0.0 replaces the closed
+    form, which may overflow and is skipped for inputs wholly past it.
     """
 
     kind: str = "generic"
@@ -137,8 +137,9 @@ class BaseDistribution:
         if not (lo >= 0.0 and hi < math.inf):
             raise ValueError(f"threshold must be finite and >= 0, got {t!r}")
         out = np.empty(arr.shape) if out is None else out
-        with np.errstate(over="ignore", invalid="ignore"):  # past zero_from only
-            self._tail_moment(arr, out)
+        if lo < self.zero_from:
+            with np.errstate(over="ignore", invalid="ignore"):  # past zero_from only
+                self._tail_moment(arr, out)
         if hi >= self.zero_from:
             np.copyto(out, 0.0, where=arr >= self.zero_from)
         np.clip(out, 0.0, 1.0, out=out)

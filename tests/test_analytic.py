@@ -458,10 +458,10 @@ def test_index_estimate_evaluates_no_column_below_the_first_untrusted(scheme, to
     thresholds = []
 
     class Counted(StdNormal):
-        def _tail_moment(self, t, out):
-            if t.ndim == 0:  # a row's base term at eps * s_n, once per row and column
+        def truncated_second_moment(self, t, out=None):
+            if np.ndim(t) == 0:  # a row's base term at eps * s_n, once per row and column
                 thresholds.append(float(t))
-            super()._tail_moment(t, out)
+            return super().truncated_second_moment(t, out)
 
     _, g = _index_from_all_columns(scheme, NORMAL, SMALL_GRID, DEFAULT_EPS_GRID)
     assert (g[-1] is not None) is top_resolved

@@ -26,7 +26,6 @@ import contamclt.cli as cli
 from contamclt import analytic, experiment
 from contamclt.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_VALIDATION, SETTINGS, main
 from contamclt.experiment import (
-    ConfigError,
     ExperimentConfig,
     ExperimentReport,
     emit_csv,
@@ -205,21 +204,24 @@ def test_run_experiment_fails_fast_on_collision(tmp_path):
 
 
 def test_config_validation_errors():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError, match=r"^n must be >= 1, got 0$"):
         fast_config(n=0).validated()
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError, match=r"^reps must be >= 1, got 0$"):
         fast_config(reps=0).validated()
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError, match=r"^unknown base distribution 'cauchy'; choose from "
+                                         r"\['laplace', 'normal', 'uniform'\]$"):
         fast_config(dist="cauchy").validated()
     for mu in (float("nan"), float("inf"), float("-inf")):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError, match=rf"^mu must be finite, got {mu}$"):
             fast_config(mu=mu).validated()
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError, match=r"^unknown output formats \['pdf'\]; "
+                                         r"choose from \('csv', 'svg', 'json'\)$"):
         fast_config(formats=("pdf",)).validated()
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError, match=r"^n grid needs at least 6 points, got 2$"):
         fast_config(n_grid=(10, 20)).validated()
     short = ContaminationScheme.tabular([0.1] * 10, [2.0] * 10)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError,
+                       match=r"^tabular scheme holds 10 entries but the run needs 16000$"):
         fast_config(scheme=short).validated()
 
 
@@ -239,26 +241,27 @@ def test_load_tabular_scheme(tmp_path):
 def test_load_tabular_scheme_bad_header(tmp_path):
     path = tmp_path / "scheme.csv"
     path.write_text("a,b\n0.5,2.0\n")
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError,
+                       match=r"scheme\.csv: expected header 'p_k,sigma2_k', got \['a', 'b'\]$"):
         load_tabular_scheme(str(path))
 
 
 def test_load_tabular_scheme_field_past_the_csv_limit(tmp_path):
     path = tmp_path / "scheme.csv"
     path.write_text("p_k,sigma2_k\n0.5,2\n" + "1" * 200_000 + ",2\n")
-    with pytest.raises(ConfigError, match=r"scheme\.csv:3: field larger than field limit"):
+    with pytest.raises(ValueError, match=r"scheme\.csv:3: field larger than field limit"):
         load_tabular_scheme(str(path))
 
 
 def test_load_tabular_scheme_bad_row(tmp_path):
     path = tmp_path / "scheme.csv"
     path.write_text("p_k,sigma2_k\n0.5\n")
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError, match=r"scheme\.csv:2: malformed row \['0\.5'\]$"):
         load_tabular_scheme(str(path))
     # a quoted field holding a newline spans two file lines, so "bad,4" is
     # the fourth record but sits on line 5
     path.write_text('p_k,sigma2_k\n"0.1\n",2\n0.2,3\nbad,4\n')
-    with pytest.raises(ConfigError, match=r"scheme\.csv:5: malformed row \['bad', '4'\]"):
+    with pytest.raises(ValueError, match=r"scheme\.csv:5: malformed row \['bad', '4'\]"):
         load_tabular_scheme(str(path))
 
 
@@ -338,10 +341,13 @@ def test_cli_config_file_and_precedence(tmp_path, capsys):
 
 
 def test_cli_validation_exit_code(capsys):
-    code = main(["--scheme", "powerlaw", "--p", "1.5", "--a", "1",
-                 "--s2", "4", "--b", "1"])
-    assert code == EXIT_VALIDATION
-    assert "error" in capsys.readouterr().err
+    # a bad scheme parameter and a bad grid: exit 2 and one line naming the fault
+    for flags, message in ((["--p", "1.5"], "power-law weight p must lie in (0, 1), got 1.5"),
+                           (["--p", "0.1", "--n-grid", "10,20"],
+                            "n grid needs at least 6 points, got 2")):
+        code = main(["--scheme", "powerlaw", "--a", "1", "--s2", "4", "--b", "1", *flags])
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("p,s2,b", [("0.5", "1e300", "2"), ("0.1", "4", "200")])

@@ -235,14 +235,37 @@ def test_truncated_moment_domain_errors(dist):
 
 @pytest.mark.parametrize("dist", ALL_DISTS, ids=lambda d: d.kind)
 def test_truncated_moment_is_exact_zero_from_cutoff(dist):
-    # the Lindeberg sums zero-fill blocks past zero_from; the moment must be
-    # +0.0 there (bit pattern 0), not a subnormal, and no nan where a closed
-    # form overflows (the Laplace t^2 past about 1.3e154, the uniform t^3)
+    # the Lindeberg sums take every block's moments from this method, with no
+    # zero-fill of their own; past zero_from the moment must be +0.0 (bit
+    # pattern 0), not a subnormal
     ts = np.concatenate([[dist.zero_from], np.geomspace(dist.zero_from, 1e300, 20_001),
                          np.nextafter(dist.zero_from, np.inf) + np.arange(1000) * 1e-3])
     assert np.all(dist.truncated_second_moment(ts).view(np.int64) == 0)
     # and the cutoff is not loose by more than a few percent
     assert dist.truncated_second_moment(0.96 * dist.zero_from) > 0.0
+
+
+@pytest.mark.parametrize("dist", ALL_DISTS, ids=lambda d: d.kind)
+def test_truncated_moment_skips_the_closed_form_wholly_past_zero_from(dist):
+    calls = []
+
+    class Counted(type(dist)):
+        def _tail_moment(self, t, out):
+            calls.append(t.size)
+            super()._tail_moment(t, out)
+
+    counted, past = Counted(), np.geomspace(dist.zero_from, 1e300, 100)
+    out = np.full_like(past, np.nan)
+    assert counted.truncated_second_moment(past, out=out) is out
+    assert math.copysign(1.0, counted.truncated_second_moment(dist.zero_from)) == 1.0
+    assert np.all(out.view(np.int64) == 0) and calls == []
+    # a block that straddles zero_from takes the closed form below it, and no
+    # nan where it overflows (the Laplace t^2 past about 1.3e154, the uniform t^3)
+    below = np.linspace(0.0, dist.zero_from, 50, endpoint=False)
+    got = counted.truncated_second_moment(np.concatenate([below, past]))
+    assert calls == [below.size + past.size]
+    assert np.all(got[below.size:].view(np.int64) == 0)
+    assert np.array_equal(got[:below.size], dist.truncated_second_moment(below))
 
 
 @pytest.mark.parametrize("dist", ALL_DISTS, ids=lambda d: d.kind)
