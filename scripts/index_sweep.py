@@ -6,7 +6,8 @@
 Imports ``contamclt`` from ``SRC`` (default: this checkout's ``src``), so two
 revisions can be compared by pointing it at each one's source tree.  Tuples are
 (p, a, s2, b), the argument order of ``ContaminationScheme.power_law``; every
-scheme runs with the normal, uniform and Laplace bases.  It prints three counts,
+scheme runs with the normal, uniform and Laplace bases.  The closed-form index
+and the regime rule come from ``classify_power_law``.  It prints three counts,
 each with a tolerance of 0.03, criterion 2's:
 
 - a = b: 144 schemes, p in {0.05, 0.2, 0.5, 0.9}, s2 in {2, 4, 20, 100} and
@@ -15,7 +16,8 @@ each with a tolerance of 0.03, criterion 2's:
 - above the bound: 960 schemes, p in {0.05, 0.2, 0.5, 0.9}, s2 in
   {2, 4, 25, 100}, a in {0.5, 1, 1.5, 2} and b in {0.5, 0.9, 1, 1.5, 2}, whose
   estimate exceeds ``lindeberg_upper_bound``;
-- index 0: the 528 of those 960 with b < 1 or a > b, whose estimate exceeds 0,
+- index 0: the 528 of those 960 classified with index 0 (b < 1 or a > b),
+  whose estimate exceeds 0,
   and how many of these misses also exceed their bound.
 
 Each miss above the bound is listed with its estimate and bound.  One process
@@ -34,7 +36,8 @@ BASES = ("normal", "uniform", "laplace")
 
 def main(src: str) -> int:
     sys.path.insert(0, os.path.abspath(src))
-    from contamclt.analytic import lindeberg_index_estimate, lindeberg_upper_bound
+    from contamclt.analytic import (classify_power_law, lindeberg_index_estimate,
+                                    lindeberg_upper_bound)
     from contamclt.model import ContaminationScheme, base_distribution
 
     def run(p, a, s2, b):  # (kind, estimate, bound) per base, sharing one memoized walk
@@ -43,7 +46,7 @@ def main(src: str) -> int:
         return [(kind, lindeberg_index_estimate(scheme, base_distribution(kind)), bound)
                 for kind in BASES]
 
-    misses = [abs(est - p * s2 / (1.0 + p * s2)) > TOL
+    misses = [abs(est - classify_power_law(p, b, s2, b).lindeberg_index) > TOL
               for p, s2, b in itertools.product((0.05, 0.2, 0.5, 0.9), (2.0, 4.0, 20.0, 100.0),
                                                 (1.0, 1.5, 2.0))
               for _, est, _ in run(p, b, s2, b)]
@@ -52,12 +55,13 @@ def main(src: str) -> int:
     above, zero, zero_above, total, zero_total = [], 0, 0, 0, 0
     for p, s2, a, b in itertools.product((0.05, 0.2, 0.5, 0.9), (2.0, 4.0, 25.0, 100.0),
                                          (0.5, 1.0, 1.5, 2.0), (0.5, 0.9, 1.0, 1.5, 2.0)):
+        index = classify_power_law(p, a, s2, b).lindeberg_index
         for kind, est, bound in run(p, a, s2, b):
             total += 1
             if est > bound + TOL:
                 above.append(f"  ({p}, {a}, {s2}, {b}) {kind}: estimate {est:.4f}, "
                              f"bound {bound:.4f}")
-            if b < 1.0 or a > b:
+            if index == 0.0:
                 zero_total += 1
                 zero += est > TOL
                 zero_above += est > TOL and est > bound

@@ -76,24 +76,23 @@ MUTANTS = (
     Mutant("sums-at-front", "src/contamclt/montecarlo.py",
            "samples[lo:hi] = sums", "samples[:hi - lo] = sums",
            ("tests/test_montecarlo.py::test_replicate_block_boundaries_do_not_change_samples",)),
-    # QQ keeps only the last level block's count of levels below t
-    Mutant("qq-last-block-count", "src/contamclt/montecarlo.py",
-           "below += np.searchsorted(levels, arr)", "below = np.searchsorted(levels, arr)",
-           ("tests/test_analytic.py::"
-            "test_qq_equals_the_whole_array_search_across_level_blocks",)),
+    # QQ counts the levels at or below t, so at a level i/R it reads x_(i+1)
+    Mutant("qq-bisect-right", "src/contamclt/montecarlo.py",
+           "bisect.bisect_left(", "bisect.bisect_right(",
+           ("tests/test_montecarlo.py::test_inverse_exact_at_ecdf_levels",
+            "tests/test_analytic.py::"
+            "test_qq_equals_the_whole_array_search_across_level_blocks")),
     # KS pairs each level block with the front of the sorted copy
     Mutant("ks-block-from-front", "src/contamclt/analytic.py",
            "phi = c[lo:lo + levels.size]", "phi = c[:levels.size]",
            ("tests/test_analytic.py::"
             "test_ks_equals_the_whole_array_formula_across_level_blocks",)),
-    # every level block starts again at 1/r
+    # every KS level block starts again at 1/r
     Mutant("levels-restart", "src/contamclt/analytic.py",
-           "yield lo, np.arange(lo + 1, min(lo + _BLOCK, r) + 1,",
-           "yield lo, np.arange(1, min(lo + _BLOCK, r) - lo + 1,",
+           "levels = np.arange(lo + 1, min(lo + _BLOCK, r) + 1,",
+           "levels = np.arange(1, min(lo + _BLOCK, r) - lo + 1,",
            ("tests/test_analytic.py::"
-            "test_ks_equals_the_whole_array_formula_across_level_blocks",
-            "tests/test_analytic.py::"
-            "test_qq_equals_the_whole_array_search_across_level_blocks")),
+            "test_ks_equals_the_whole_array_formula_across_level_blocks",)),
     # an unresolved largest-eps column read as index 1, not as the bound
     Mutant("unresolved-top-reads-one", "src/contamclt/analytic.py",
            "return lindeberg_upper_bound(scheme, n_grid)", "return 1.0",

@@ -37,8 +37,8 @@ DEFAULT_EPS_GRID: tuple[float, ...] = tuple(float(e) for e in np.geomspace(1e-3,
 # at n add the full-chunk totals below n in order, then the part-chunk up to
 # n, so they are the same whichever other points a walk's grid holds.
 _CHUNK = 1 << 16
-# Lindeberg terms, and the ECDF levels i/R of KS and QQ, come in blocks of this
-# many, so a block's temporaries stay in cache and no array of R levels is held.
+# Lindeberg terms, and the ECDF levels i/R of KS, come in blocks of this many,
+# so a block's temporaries stay in cache and no array of R levels is held.
 _BLOCK = 1 << 14
 
 # Rows with 2 * n * max|x| at or above this, or with an inf or nan, are left
@@ -412,13 +412,6 @@ def classify_power_law(p: float, a: float, s2: float, b: float) -> Classificatio
 # Kolmogorov distance
 # ---------------------------------------------------------------------------
 
-def _level_blocks(r: int):
-    """Yield (lo, the levels i/r for i = lo+1..min(lo + _BLOCK, r)) block by block;
-    their floats are those of ``np.arange(1, r + 1) / r``."""
-    for lo in range(0, r, _BLOCK):
-        yield lo, np.arange(lo + 1, min(lo + _BLOCK, r) + 1, dtype=np.float64) / r
-
-
 def kolmogorov_distance_to_normal(samples) -> float:
     """Exact sup |E(x) - Phi(x)| between a sample ECDF and the standard normal.
 
@@ -432,8 +425,9 @@ def kolmogorov_distance_to_normal(samples) -> float:
         raise ValueError("need at least one sample")
     if not (np.isfinite(c[0]) and np.isfinite(c[-1])):  # nan sorts last
         raise ValueError("samples must be finite")
-    d = 0.0
-    for lo, levels in _level_blocks(ndtr(c, out=c).size):
+    d, r = 0.0, ndtr(c, out=c).size
+    for lo in range(0, r, _BLOCK):  # the floats of np.arange(1, r + 1) / r, block by block
+        levels = np.arange(lo + 1, min(lo + _BLOCK, r) + 1, dtype=np.float64) / r
         phi = c[lo:lo + levels.size]
-        d = max(d, float(np.max(levels - phi)), float(np.max(phi - (levels - 1.0 / c.size))))
+        d = max(d, float(np.max(levels - phi)), float(np.max(phi - (levels - 1.0 / r))))
     return min(d, 1.0)

@@ -15,6 +15,7 @@ call, which writes each row's PCG64 state into one reused generator.
 
 from __future__ import annotations
 
+import bisect
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -25,7 +26,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from . import rng as _rng
-from .analytic import _level_blocks, array_stats, exact_sums, kolmogorov_distance_to_normal
+from .analytic import array_stats, exact_sums, kolmogorov_distance_to_normal
 from .model import BaseDistribution, ContaminationScheme, draw_centered_row
 
 
@@ -118,7 +119,8 @@ def qq_points(samples, t_grid) -> tuple[QQPoint, ...]:
 
     E^-1(t) is the generalized inverse of the samples' empirical CDF: the
     smallest order statistic x_(i) whose level i/R, as a float, reaches t.
-    It holds one sorted copy (8R bytes) and counts the levels below t by block.
+    It holds one sorted copy (8R bytes) and bisects over i; Python's i / R is
+    correctly rounded, as ``np.arange(1, R + 1) / R`` is, and monotone in i.
     """
     xs = np.sort(np.asarray(samples, dtype=np.float64).ravel())
     if xs.size == 0:
@@ -130,8 +132,7 @@ def qq_points(samples, t_grid) -> tuple[QQPoint, ...]:
         raise ValueError("t grid must lie strictly inside (0, 1)")
     if np.any(np.diff(arr) <= 0.0):
         raise ValueError("t grid must be strictly increasing")
-    below = np.zeros(arr.size, dtype=np.intp)  # how many levels i/R lie below each t
-    for _, levels in _level_blocks(xs.size):
-        below += np.searchsorted(levels, arr)
+    r = xs.size  # below[j]: how many levels i/R lie below t_j
+    below = [bisect.bisect_left(range(1, r + 1), t, key=lambda i: i / r) for t in arr.tolist()]
     return tuple(QQPoint(float(t), float(q), float(e))
                  for t, q, e in zip(arr, ndtri(arr), xs[below]))

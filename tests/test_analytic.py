@@ -730,3 +730,17 @@ def test_ks_and_qq_memory_is_one_sorted_copy(fn):
     finally:
         tracemalloc.stop()
     assert peak < 1.25 * 8 * r
+
+
+def test_qq_holds_no_level_block_beyond_its_sorted_copy():
+    # bisection forms a level i/R only where it probes; a block of 2^14 levels
+    # (128 KiB) and its temporaries break the bound
+    r = 10 ** 6
+    samples = np.random.default_rng(5).standard_normal(r)
+    tracemalloc.start()
+    try:
+        qq_points(samples, default_t_grid())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - 8 * r < 2 ** 17
