@@ -136,6 +136,22 @@ MUTANTS = (
     Mutant("weights-offset-start", "src/contamclt/model.py",
            "np.frombuffer(self.p_table)[start - 1:n]", "np.frombuffer(self.p_table)[start:n]",
            ("tests/test_model.py::test_tabular_weights_are_fresh_writable_slices",)),
+    # the walk's sigma^2 maxima read from p sigma^2, as if after ``ps2 *= p``
+    Mutant("walk-max-after-scale", "src/contamclt/analytic.py",
+           "s2_max = [float(ps2[:n - lo].max()) for n in ends]",
+           "s2_max = [float((ps2 * p)[:n - lo].max()) for n in ends]",
+           ("tests/test_analytic.py::"
+            "test_grid_walk_equals_chunked_fsums_and_maxima_of_one_fetch",)),
+    # each prefix sum of the walk one index short
+    Mutant("walk-row-short", "src/contamclt/analytic.py",
+           "x[None, :m]", "x[None, :m - 1]",
+           ("tests/test_analytic.py::test_hand_computed_cumulative_variance_at_n2",
+            "tests/test_analytic.py::"
+            "test_grid_walk_equals_chunked_fsums_and_maxima_of_one_fetch")),
+    # tasks draw with sigma_k^2 where sigma_k belongs
+    Mutant("task-sigma-unrooted", "src/contamclt/montecarlo.py",
+           "np.sqrt(sigma, out=sigma)", "None",
+           ("tests/test_montecarlo.py::test_statistic_moments_match_construction",)),
     # every echo slice after the first starts one float late, skipping one
     Mutant("echo-slice-starts-late", "src/contamclt/experiment.py",
            "range(0, len(self.values), self.SLICE)", "range(0, len(self.values), self.SLICE + 1)",

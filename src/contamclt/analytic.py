@@ -132,15 +132,18 @@ def grid_walk(scheme: ContaminationScheme, grid: tuple[int, ...]) -> tuple[Array
     stats = []
     run = (0.0, 0.0, 0.0, 1.0)  # sum p, sum p s2, max p s2, max s2 up to lo
     for lo in range(0, top, _CHUNK):
-        p, s2 = scheme.weights(min(lo + _CHUNK, top), start=lo + 1)
+        # ps2 holds sigma^2 until its maxima are read; exact_sums overwrites a copy
+        p, ps2 = scheme.weights(min(lo + _CHUNK, top), start=lo + 1)
         hi = lo + p.size
-        ps2 = p * s2
         points = [n for n in grid if lo < n <= hi]
-        for n in points + ([hi] if hi not in points else []):
+        ends = points + ([hi] if hi not in points else [])
+        s2_max = [float(ps2[:n - lo].max()) for n in ends]
+        ps2 *= p
+        for n, s2_top in zip(ends, s2_max):
             m = n - lo
-            chunk_p, chunk_ps2 = exact_sums(np.stack([p[:m], ps2[:m]])).tolist()
+            chunk_p, chunk_ps2 = (float(exact_sums(x[None, :m].copy())[0]) for x in (p, ps2))
             acc = (run[0] + chunk_p, run[1] + chunk_ps2,
-                   max(run[2], float(ps2[:m].max())), max(run[3], float(s2[:m].max())))
+                   max(run[2], float(ps2[:m].max())), max(run[3], s2_top))
             if n in points:
                 s2_n = (float(n) - acc[0]) + acc[1]
                 stats.append(ArrayStats(n, s2_n, acc[1] / n, acc[2] / s2_n, acc[3]))

@@ -100,7 +100,10 @@ class ContaminationScheme:
             return np.zeros(m), np.ones(m)
         if self.kind is SchemeKind.POWER_LAW:
             k = np.arange(start, n + 1, dtype=np.float64)
-            return self.p * k ** -self.a, self.s2 * k ** self.b
+            p = k ** -self.a  # in place from here, bit for bit p * k**-a and s2 * k**b:
+            p *= self.p  # ``**=`` takes numpy's scalar-exponent fast paths as ``**`` does
+            k **= self.b
+            return p, np.multiply(k, self.s2, out=k)
         if n > self.length:
             raise IndexError(f"tabular scheme holds {self.length} entries; "
                              f"index {n} is out of range")

@@ -16,9 +16,9 @@ call, which writes each row's PCG64 state into one reused generator.
 from __future__ import annotations
 
 import bisect
+import concurrent.futures
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 
@@ -60,13 +60,11 @@ _TASK_REPS = 1 << 15
 
 
 def _replicate_chunk(args) -> np.ndarray:
-    """Exact sums of replicate rows lo..hi-1, unscaled: ``replicate`` divides by s_n."""
-    scheme, dist, n, master_seed, lo, hi = args
-    p, sigma = scheme.weights(n)
-    np.sqrt(sigma, out=sigma)
-    step = max(1, _BLOCK_ELEMS // n)
+    """Exact sums of rows lo..hi-1, p.size long, unscaled: ``replicate`` divides by s_n."""
+    p, sigma, dist, master_seed, lo, hi = args
+    step = max(1, _BLOCK_ELEMS // p.size)
     gens = _rng.stream_generator(master_seed, lo, hi)
-    block, u = np.empty((2, min(step, hi - lo), n))  # draws, their uniforms, sum scratch
+    block, u = np.empty((2, min(step, hi - lo), p.size))  # draws, their uniforms, sum scratch
     out = np.empty(hi - lo, dtype=np.float64)
     for start in range(0, hi - lo, step):
         k = min(step, hi - lo - start)
@@ -90,8 +88,8 @@ def replicate(R: int, n: int, scheme: ContaminationScheme, dist: BaseDistributio
     The result is a pure function of (R, n, scheme, dist, master_seed); ``mu`` is
     never read and stays only for ``perfbench/tracing.py``'s positional call.
     ``workers`` spreads the row sums over at most that many processes, never
-    more than tasks or usable CPUs, and never changes a value.  s_n, a walk
-    over k = 1..n that the draws do not need, comes after them.
+    more than tasks or usable CPUs, and never changes a value.  A task carries
+    p_k and sigma_k (16n bytes), never the scheme, and s_n comes after the draws.
     It holds the R sums once (8R bytes), writing each task's in place as it
     arrives, and KS adds one sorted copy.
     """
@@ -104,9 +102,12 @@ def replicate(R: int, n: int, scheme: ContaminationScheme, dist: BaseDistributio
 
     pool_size = min(workers, R, _usable_cpus())
     step = min(_TASK_REPS, R if pool_size == 1 else -(-R // (4 * pool_size)))
-    tasks = [(scheme, dist, n, master_seed, lo, min(lo + step, R)) for lo in range(0, R, step)]
+    p, sigma = scheme.weights(n)
+    np.sqrt(sigma, out=sigma)
+    tasks = [(p, sigma, dist, master_seed, lo, min(lo + step, R)) for lo in range(0, R, step)]
     samples = np.empty(R, dtype=np.float64)
-    with ProcessPoolExecutor(max_workers=pool_size) if pool_size > 1 else nullcontext() as pool:
+    with (concurrent.futures.ProcessPoolExecutor(max_workers=pool_size) if pool_size > 1
+          else nullcontext()) as pool:
         for (*_, lo, hi), sums in zip(tasks, (pool.map if pool else map)(_replicate_chunk, tasks)):
             samples[lo:hi] = sums
     s_n = math.sqrt(array_stats(scheme, n).s2_n)

@@ -43,7 +43,7 @@ from contamclt.analytic import (
 )
 from contamclt.cli import EXIT_OK, main
 from contamclt.experiment import DEFAULT_SEED
-from contamclt.model import ContaminationScheme, StdNormal
+from contamclt.model import ContaminationScheme, SchemeKind, StdNormal
 from contamclt.montecarlo import replicate
 from exact_law import ExactLaw, dkw_band, power_law_weights
 from test_analytic import lindeberg_row
@@ -315,7 +315,9 @@ def test_criterion_5_property_suites():
     # index estimate <= upper bound + 0.02, and condition-trend ordering.
     # The ordering is asserted on the study's scheme families (power laws of
     # every regime plus structured tables with bounded contamination mass);
-    # it is not a theorem for arbitrary weight tables.
+    # it is not a theorem for arbitrary weight tables.  C -> 0 does not imply
+    # A -> 0 for a power law: A tends to 0 iff b - a < 1, whatever C does, so
+    # power laws are held to that closed form and the rest to the implication.
     small_grid = tuple(100 * 2 ** j for j in range(6))
     m = small_grid[-1]
     spike = ContaminationScheme.tabular([1.0] + [0.0] * (m - 1),
@@ -328,6 +330,7 @@ def test_criterion_5_property_suites():
         (ContaminationScheme.power_law(0.1, 1.0, 4.0, 1.0), None),
         (ContaminationScheme.power_law(0.2, 1.0, 20.0, 1.0), None),
         (ContaminationScheme.power_law(0.3, 0.5, 9.0, 1.2), None),  # unclassified
+        (ContaminationScheme.power_law(0.05, 1.0, 2.0, 2.5), None),  # b - a >= 1: A diverges
         (spike, small_grid),
         (flat, small_grid),
     ]
@@ -342,7 +345,10 @@ def test_criterion_5_property_suites():
         trend_a = condition_a(scheme, **kwargs).trend
         if trend_b is Trend.CONVERGING_TO_ZERO and trend_c is not Trend.CONVERGING_TO_ZERO:
             failures.append("ConB zero without ConC zero")
-        if trend_c is Trend.CONVERGING_TO_ZERO and trend_a is not Trend.CONVERGING_TO_ZERO:
+        if scheme.kind is SchemeKind.POWER_LAW:
+            if (trend_a is Trend.CONVERGING_TO_ZERO) != (scheme.b - scheme.a < 1.0):
+                failures.append(f"ConA {trend_a.value} at b - a = {scheme.b - scheme.a:g}")
+        elif trend_c is Trend.CONVERGING_TO_ZERO and trend_a is not Trend.CONVERGING_TO_ZERO:
             failures.append("ConC zero without ConA zero")
 
     # montecarlo invariants: moments, KS recomputation, seed determinism

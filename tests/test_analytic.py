@@ -107,6 +107,30 @@ def test_grid_walk_across_chunk_boundaries():
                                       whole.view(np.int64))
 
 
+def test_grid_walk_equals_chunked_fsums_and_maxima_of_one_fetch():
+    # an oracle outside the walk: from one whole-row fetch, fsum each
+    # 2**16-chunk's part below n and add the parts in order, as the walk's
+    # contract states; take the maxima directly (sigma_k^2 >= 1 floors one)
+    chunk = analytic._CHUNK
+    rng = np.random.default_rng(27)
+    rows = 2 * chunk + 9
+    table = ContaminationScheme.tabular(rng.random(rows), 1.0 + 50.0 * rng.random(rows))
+    grid = (2, 3, 700, chunk, chunk + 1, rows)
+    for scheme in (ContaminationScheme.power_law(0.37, 0.8, 7.0, 1.1), table):
+        p, s2 = scheme.weights(rows)
+        ps2 = p * s2
+        for stats in grid_walk(scheme, grid):
+            n = stats.n
+            sum_p = sum_ps2 = 0.0
+            for lo in range(0, n, chunk):
+                sum_p += math.fsum(p[lo:min(lo + chunk, n)].tolist())
+                sum_ps2 += math.fsum(ps2[lo:min(lo + chunk, n)].tolist())
+            s2_n = (float(n) - sum_p) + sum_ps2
+            assert stats == analytic.ArrayStats(n, s2_n, sum_ps2 / n,
+                                                float(ps2[:n].max()) / s2_n,
+                                                max(1.0, float(s2[:n].max()))), n
+
+
 @pytest.mark.parametrize("walk, top", [(array_stats, 10 ** 6),
                                        (grid_walk, tuple(2 ** j for j in range(22)))])
 def test_walk_memory_does_not_grow_with_the_grid_top(walk, top):
@@ -120,6 +144,20 @@ def test_walk_memory_does_not_grow_with_the_grid_top(walk, top):
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2 ** 20
+
+
+def test_grid_walk_holds_about_four_chunk_arrays():
+    # p, one array holding sigma^2 and then p sigma^2, a one-row prefix copy
+    # and exact_sums' scratch; a p sigma^2 beside sigma^2, or both prefixes
+    # stacked into one copy with its scratch, breaks the bound
+    scheme = ContaminationScheme.power_law(0.2, 1.0, 20.0, 1.0)
+    tracemalloc.start()
+    try:
+        grid_walk(scheme, DEFAULT_N_GRID)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.5 * 8 * analytic._CHUNK
 
 
 def test_decreasing_grid_and_zero_n_are_refused():

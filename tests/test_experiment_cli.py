@@ -389,6 +389,20 @@ def test_cli_out_of_memory_is_a_validation_error(monkeypatch, capsys):
         "and data type float64\n")
 
 
+def test_cli_import_loads_no_process_pool_module():
+    # a --workers 1 run never needs the pool, so montecarlo loads
+    # concurrent.futures.process (and with it multiprocessing) only for a pool
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(root / "src"),
+                                                       os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, contamclt.cli; print(sorted(m for m in sys.modules if m in "
+            "('multiprocessing', 'concurrent.futures.process')))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.strip() == "[]"
+
+
 # Sets a 3 GB address-space limit and then becomes ``python -m contamclt.cli``;
 # exec keeps the limit, and no code runs between fork and exec.
 _LIMITED_CLI = ("import os, resource, sys; "

@@ -186,6 +186,21 @@ def test_weights_match_scalar_evaluation():
         assert pk == 0.3 * float(k) ** -0.7 and sk == 9.0 * float(k) ** 1.2
 
 
+
+@pytest.mark.parametrize("a", [0.5, 0.9, 1.0, 1.5, 2.0, 3.0])
+def test_power_law_weights_equal_the_out_of_place_powers_bit_for_bit(a):
+    # weights raises k to b in place; numpy's scalar-exponent fast paths
+    # (1: copy, -1: reciprocal, 0.5: sqrt, 2: square) must still apply there,
+    # as they do in p0 * k**-a and s2 * k**b, or the bits would move
+    n = 2 * 10 ** 5
+    for b in (0.1, 0.5, 0.9, 1.0, 1.2, 2.0, 4.0):
+        scheme = ContaminationScheme.power_law(0.3, a, 9.0, b)
+        for start in (1, 7, 2 ** 16 + 1):
+            k = np.arange(start, n + 1, dtype=np.float64)
+            p, s2 = scheme.weights(n, start)
+            assert np.array_equal(p.view(np.int64), (0.3 * k ** -a).view(np.int64)), (b, start)
+            assert np.array_equal(s2.view(np.int64), (9.0 * k ** b).view(np.int64)), (b, start)
+
 # ---------------------------------------------------------------------------
 # truncated second moments
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Replication and QQ point generation."""
 
+import concurrent.futures
 import math
+import pickle
 import tracemalloc
 import warnings
 
@@ -73,7 +75,7 @@ def test_replicate_pool_is_capped_by_cpus_and_tasks(monkeypatch):
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     _pin_cpus(monkeypatch, 2)
     many = replicate(40, 30, CASE3, NORMAL, 0.0, 5, workers=10 ** 6)
     one = replicate(40, 30, CASE3, NORMAL, 0.0, 5, workers=1)
@@ -92,7 +94,7 @@ def test_replicate_starts_no_pool_of_one(monkeypatch):
         def __init__(self, max_workers):
             raise AssertionError(f"started a pool of {max_workers}")
 
-    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", NoPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
     runs = [(replicate(1, 100, CASE3, NORMAL, 0.0, 5, workers=2), single)]
     monkeypatch.delattr(montecarlo.os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 1)
@@ -110,7 +112,7 @@ def test_replicate_counts_the_cpus_it_may_use(monkeypatch):
         def __init__(self, max_workers):
             raise AssertionError(f"started a pool of {max_workers}")
 
-    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", NoPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
     _pin_cpus(monkeypatch, 1, machine=8)
     run = replicate(40, 30, CASE3, NORMAL, 0.0, 5, workers=4)
     assert np.array_equal(run.samples.view(np.int64), want.samples.view(np.int64))
@@ -138,7 +140,7 @@ def test_replicate_splits_tasks_by_the_capped_pool(monkeypatch):
 
     stats_calls = []
     array_stats = montecarlo.array_stats
-    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     _pin_cpus(monkeypatch, 2)
     monkeypatch.setattr(montecarlo, "array_stats",
                         lambda *args: stats_calls.append(args) or array_stats(*args))
@@ -190,7 +192,7 @@ def test_each_task_derives_its_streams_in_one_call(monkeypatch):
             return map(fn, tasks)
 
     monkeypatch.setattr(montecarlo._rng, "stream_generator", recording)
-    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     _pin_cpus(monkeypatch, 2)
     R = 250
     for cap, workers, tasks in ((1 << 15, 1, 1), (1 << 15, 2, 8), (7, 1, 36), (7, 2, 36)):
@@ -200,6 +202,38 @@ def test_each_task_derives_its_streams_in_one_call(monkeypatch):
         assert len(calls) == tasks, (cap, workers)
         assert all(0 < hi - lo <= cap for lo, hi in calls), (cap, workers)
         assert [i for lo, hi in calls for i in range(lo, hi)] == list(range(R)), (cap, workers)
+
+
+def test_pooled_tasks_carry_the_row_weights_not_the_table(monkeypatch):
+    # each task carries p_k and sigma_k for k = 1..n, not the scheme, so its
+    # pickle stays near 16 n bytes however long a table is (a 10^5-row
+    # table would add 1.6 MB to every task)
+    rows, n = 10 ** 5, 200
+    rng = np.random.default_rng(3)
+    table = ContaminationScheme.tabular(0.1 * rng.random(rows), 1.0 + 9.0 * rng.random(rows))
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            tasks = list(tasks)
+            sizes.extend(len(pickle.dumps(task)) for task in tasks)
+            return map(fn, tasks)
+
+    want = replicate(40, n, table, NORMAL, 0.0, 5, workers=1)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    _pin_cpus(monkeypatch, 2)
+    run = replicate(40, n, table, NORMAL, 0.0, 5, workers=2)
+    assert len(sizes) > 1 and max(sizes) <= 16 * n + 4096, sizes
+    assert np.array_equal(run.samples.view(np.int64), want.samples.view(np.int64))
 
 
 def test_single_replicate_ks_geometry():
