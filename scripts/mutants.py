@@ -152,6 +152,14 @@ MUTANTS = (
     Mutant("task-sigma-unrooted", "src/contamclt/montecarlo.py",
            "np.sqrt(sigma, out=sigma)", "None",
            ("tests/test_montecarlo.py::test_statistic_moments_match_construction",)),
+    # Lindeberg thresholds divided by sigma_k^2 where sigma_k belongs
+    Mutant("lindeberg-sigma-unrooted", "src/contamclt/analytic.py",
+           "np.sqrt(sigma, out=sigma)", "None",
+           ("tests/test_pinned_diagnostics.py::test_diagnostics_match_pinned_bits",)),
+    # inflated Lindeberg terms weighted by (1 - p_k) sigma_k^2, not p_k sigma_k^2
+    Mutant("lindeberg-weights-one-minus-p", "src/contamclt/analytic.py",
+           "ps2 = moment * sigma", "ps2 = (1.0 - moment) * sigma",
+           ("tests/test_pinned_diagnostics.py::test_diagnostics_match_pinned_bits",)),
     # every echo slice after the first starts one float late, skipping one
     Mutant("echo-slice-starts-late", "src/contamclt/experiment.py",
            "range(0, len(self.values), self.SLICE)", "range(0, len(self.values), self.SLICE + 1)",

@@ -13,7 +13,7 @@ rule that produced them (see ``Trend`` and the index-estimate notes below).
 the index bound and the index estimate share: it keeps only the
 ``ArrayStats`` and remembers its last (scheme, grid), so a run of the five
 diagnostics on one scheme and grid walks once.  The Lindeberg rows are
-prefixes of the top row, whose weights the index estimate fetches once more.
+prefixes of the top row, whose weights the index estimate fetches in one call.
 """
 
 from __future__ import annotations
@@ -151,11 +151,6 @@ def grid_walk(scheme: ContaminationScheme, grid: tuple[int, ...]) -> tuple[Array
     return tuple(stats)
 
 
-def array_stats(scheme: ContaminationScheme, n: int) -> ArrayStats:
-    """Exact one-pass partial sums for k = 1..n."""
-    return grid_walk(scheme, (n,))[0]
-
-
 # ---------------------------------------------------------------------------
 # Finite limit estimates
 # ---------------------------------------------------------------------------
@@ -280,19 +275,16 @@ def _lindeberg_columns(scheme: ContaminationScheme, walk: tuple[ArrayStats, ...]
     inflated term (thresholds eps*s_n/sigma_k, weights p_k sigma_k^2), over
     s_n^2; it lies in [0, 1] and is nonincreasing in eps.
 
-    The rows are prefixes of the top row: its 1 - p_k, p_k sigma_k^2 and sigma_k
-    are fetched once, in blocks bit-equal to the walk's chunks, and each row reads
-    prefix views.  A row's tail moments at eps*s_n/sigma_k, none above eps*s_n,
-    overwrite the 1 - p_k block by block, and one ``np.dot`` reduces them.
+    The rows are prefixes of the top row: its weights are fetched once, in one call
+    bit-equal to the walk's chunks, and each row reads prefix views of p_k sigma_k^2,
+    sigma_k and 1 - p_k.  A row's tail moments at eps*s_n/sigma_k, none above
+    eps*s_n, overwrite the 1 - p_k block by block, and one ``np.dot`` reduces them.
     """
     top = walk[-1].n
-    ps2, sigma, moment = np.empty(top), np.empty(top), np.empty(top)
-    for lo in range(0, top, _BLOCK):
-        p, s2 = scheme.weights(min(lo + _BLOCK, top), start=lo + 1)
-        hi = lo + p.size
-        np.subtract(1.0, p, out=moment[lo:hi])
-        np.multiply(p, s2, out=ps2[lo:hi])
-        np.sqrt(s2, out=sigma[lo:hi])
+    moment, sigma = scheme.weights(top)  # p_k and sigma_k^2 until ps2 is taken
+    ps2 = moment * sigma
+    np.subtract(1.0, moment, out=moment)
+    np.sqrt(sigma, out=sigma)
     rows = [(stats, math.sqrt(stats.s2_n), float(np.sum(moment[:stats.n])))
             for stats in walk[len(walk) // 2:]]  # per row: stats, s_n, sum(1 - p_k)
     t = np.empty(min(top, _BLOCK))

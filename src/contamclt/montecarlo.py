@@ -26,7 +26,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from . import rng as _rng
-from .analytic import array_stats, exact_sums, kolmogorov_distance_to_normal
+from .analytic import exact_sums, grid_walk, kolmogorov_distance_to_normal
 from .model import BaseDistribution, ContaminationScheme, draw_centered_row
 
 
@@ -110,7 +110,7 @@ def replicate(R: int, n: int, scheme: ContaminationScheme, dist: BaseDistributio
           else nullcontext()) as pool:
         for (*_, lo, hi), sums in zip(tasks, (pool.map if pool else map)(_replicate_chunk, tasks)):
             samples[lo:hi] = sums
-    s_n = math.sqrt(array_stats(scheme, n).s2_n)
+    s_n = math.sqrt(grid_walk(scheme, (n,))[0].s2_n)
     samples /= s_n
     return ReplicationResult(samples, s_n, kolmogorov_distance_to_normal(samples))
 

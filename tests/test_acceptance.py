@@ -31,11 +31,11 @@ from scipy.integrate import quad
 from scipy.stats import norm
 
 from contamclt.analytic import (
-    array_stats,
     classify_power_law,
     condition_a,
     condition_b,
     condition_c,
+    grid_walk,
     kolmogorov_distance_to_normal,
     lindeberg_index_estimate,
     lindeberg_upper_bound,
@@ -82,7 +82,7 @@ def test_criterion_1_exact_mass_identity():
     for (p, a, s2, b) in [(0.1, 1.0, 4.0, 1.0), (0.5, 2.0, 25.0, 2.0)]:
         scheme = ContaminationScheme.power_law(p, a, s2, b)
         for n in (10, 10 ** 3, 10 ** 6):
-            mass = array_stats(scheme, n).contamination_mass
+            mass = grid_walk(scheme, (n,))[0].contamination_mass
             rel = abs(mass - p * s2) / (p * s2)
             if rel > 1e-12:
                 failures.append(f"(p={p}, s2={s2}, n={n}): rel err {rel:.2e}")
@@ -221,7 +221,7 @@ def _mc_lindeberg_oracle(scheme, n, eps, draws, seed, chunk=10 ** 6):
     Writes the sum as E[Z^2 * W(|Z|)] with W a step function of the per-index
     thresholds, so one stream of draws estimates every term at once.
     """
-    stats = array_stats(scheme, n)
+    stats = grid_walk(scheme, (n,))[0]
     s_n = math.sqrt(stats.s2_n)
     p, s2 = scheme.weights(n)
     thresholds = np.concatenate([[eps * s_n], eps * s_n / np.sqrt(s2)])
@@ -293,7 +293,7 @@ def test_criterion_5_property_suites():
     for i in range(1000):
         scheme = _random_tabular(rng)
         n = scheme.length
-        if array_stats(scheme, n).s2_n < n:
+        if grid_walk(scheme, (n,))[0].s2_n < n:
             failures.append(f"s2_n < n for random scheme {i}")
             break
 

@@ -19,7 +19,6 @@ from contamclt.analytic import (
     DEFAULT_N_GRID,
     RegimeCase,
     Trend,
-    array_stats,
     classify_power_law,
     grid_walk,
     condition_a,
@@ -50,12 +49,12 @@ PHI_AT_196 = 0.97500210485177957
 
 
 # ---------------------------------------------------------------------------
-# array_stats
+# grid_walk
 # ---------------------------------------------------------------------------
 
 def test_uncontaminated_stats():
     n = 100
-    st_ = array_stats(ContaminationScheme.uncontaminated(), n)
+    st_ = grid_walk(ContaminationScheme.uncontaminated(), (n,))[0]
     assert st_.s2_n == n
     assert st_.feller_max == 0.0
     assert st_.contamination_mass == 0.0
@@ -64,20 +63,20 @@ def test_uncontaminated_stats():
 def test_contamination_mass_exact_for_matched_exponents():
     # p_k sigma_k^2 = p * s2 exactly when a = b
     for n in (10, 1000):
-        st_ = array_stats(CASE3, n)
+        st_ = grid_walk(CASE3, (n,))[0]
         assert st_.contamination_mass == pytest.approx(0.4, rel=1e-13)
 
 
 def test_hand_computed_cumulative_variance_at_n2():
     # (1 - 0.1) + 0.1*4 + (1 - 0.05) + 0.05*8 = 2.65
-    st_ = array_stats(CASE3, 2)
+    st_ = grid_walk(CASE3, (2,))[0]
     assert st_.s2_n == pytest.approx(2.65, abs=1e-12)
 
 
 def test_grid_walk_points_equal_fresh_stats():
     scheme = ContaminationScheme.power_law(0.37, 0.8, 7.0, 1.1)
     for stats in grid_walk(scheme, (45_000, 150_000)):
-        fresh = array_stats(scheme, stats.n)
+        fresh = grid_walk(scheme, (stats.n,))[0]
         assert stats == fresh
         assert stats.s2_n == fresh.s2_n
         assert stats.contamination_mass == fresh.contamination_mass
@@ -96,7 +95,7 @@ def test_grid_walk_across_chunk_boundaries():
                      (chunk + 5, 3 * chunk + 7), (100, 5000, chunk, 2 * chunk + 3)]:
             walk = grid_walk(scheme, grid)
             assert tuple(stats.n for stats in walk) == grid
-            assert walk == tuple(array_stats(scheme, n) for n in grid)
+            assert walk == tuple(grid_walk(scheme, (n,))[0] for n in grid)
             # the walk's chunks and a Lindeberg row's one whole-row fetch
             # must hold the same bits, or the Lindeberg sums would move
             top = grid[-1]
@@ -131,15 +130,15 @@ def test_grid_walk_equals_chunked_fsums_and_maxima_of_one_fetch():
                                                 max(1.0, float(s2[:n].max()))), n
 
 
-@pytest.mark.parametrize("walk, top", [(array_stats, 10 ** 6),
-                                       (grid_walk, tuple(2 ** j for j in range(22)))])
-def test_walk_memory_does_not_grow_with_the_grid_top(walk, top):
+@pytest.mark.parametrize("grid", [(10 ** 6,), tuple(2 ** j for j in range(22))],
+                         ids=["one-point-1000000", "22-points"])
+def test_walk_memory_does_not_grow_with_the_grid_top(grid):
     # a walk keeps only its ArrayStats and chunk temporaries of 2**16
     # entries; per-index arrays up to the top would take 8 B per index each
     scheme = ContaminationScheme.power_law(0.2, 1.0, 20.0, 1.0)
     tracemalloc.start()
     try:
-        walk(scheme, top)
+        grid_walk(scheme, grid)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -164,7 +163,7 @@ def test_decreasing_grid_and_zero_n_are_refused():
     with pytest.raises(ValueError):
         grid_walk(CASE3, (100, 50))
     with pytest.raises(ValueError):
-        array_stats(CASE3, 0)
+        grid_walk(CASE3, (0,))
 
 
 def test_grid_walk_memo_gives_each_scheme_and_grid_its_own_walk():
@@ -200,7 +199,7 @@ def test_grid_walk_memo_gives_each_scheme_and_grid_its_own_walk():
 def test_s2_strictly_increasing_in_n():
     prev = None
     for n in (1, 2, 5, 10, 50):
-        cur = array_stats(CASE3, n).s2_n
+        cur = grid_walk(CASE3, (n,))[0].s2_n
         if prev is not None:
             assert cur > prev
         prev = cur
@@ -213,7 +212,7 @@ def test_cumulative_variance_at_least_n(entries):
     scheme = ContaminationScheme.tabular([p for p, _ in entries],
                                          [s for _, s in entries])
     n = len(entries)
-    st_ = array_stats(scheme, n)
+    st_ = grid_walk(scheme, (n,))[0]
     assert st_.s2_n >= n
     assert 0.0 <= st_.feller_max <= 1.0
 
@@ -339,7 +338,7 @@ def test_lindeberg_sum_bounds_and_monotonicity():
 
 def _row_at_once(scheme, dist, n, eps_list):
     """The Lindeberg sums of row n with every tail moment of the row in one call."""
-    stats = array_stats(scheme, n)
+    stats = grid_walk(scheme, (n,))[0]
     s_n = math.sqrt(stats.s2_n)
     p, s2 = scheme.weights(n)
     ps2, base_weight, scale = p * s2, float(np.sum(1.0 - p)), s_n / np.sqrt(s2)
@@ -549,6 +548,23 @@ def test_index_estimate_matches_the_closed_form_index(params, kind):
 def test_index_estimate_of_an_unclassified_scheme_stays_under_its_bound(params):
     scheme = ContaminationScheme.power_law(*params)
     assert lindeberg_index_estimate(scheme, NORMAL) <= lindeberg_upper_bound(scheme) + 0.03
+
+
+@pytest.mark.parametrize("kind", ["normal", "uniform", "laplace"])
+def test_index_estimate_holds_three_top_length_arrays(kind):
+    # with the walk memo warm on the diagnostics grid, the estimate holds
+    # p_k sigma_k^2, sigma_k and one row of tail moments, 24 B an index, and
+    # block temporaries; a fourth top-length array (32 B an index) fails
+    scheme = ContaminationScheme.power_law(0.2, 1.0, 20.0, 1.0)
+    grid = tuple(4000 * 2 ** j for j in range(8))
+    grid_walk(scheme, grid)
+    tracemalloc.start()
+    try:
+        lindeberg_index_estimate(scheme, base_distribution(kind), grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * grid[-1] + 2 ** 20
 
 
 def test_index_estimate_uncontaminated_is_zero():

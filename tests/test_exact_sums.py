@@ -1,7 +1,7 @@
 """The vectorized exact row sum agrees with math.fsum bit for bit.
 
 ``exact_sums`` is the one reduction behind replicate sums and the chunked
-sums of ``array_stats``.  Every property here compares it row by row with
+sums of ``grid_walk``.  Every property here compares it row by row with
 ``math.fsum(row.tolist())`` as int64 bit patterns (so -0.0, +0.0 and nan
 payloads count), or, where fsum raises, asks for the same exception type.
 """

@@ -84,9 +84,9 @@ def test_json_roundtrip_equal(small_report):
 def test_run_experiment_walks_the_grid_once(monkeypatch):
     # conditions, bound and index estimate share one chunk-aligned walk, so
     # the grid's weights are fetched exactly once per chunk; then the
-    # Lindeberg rows (the top half of the grid) fetch the top row once, block
-    # by block, and the replicate loop fetches row n = 100 for its draws and
-    # then for s_n
+    # Lindeberg rows (the top half of the grid) fetch the top row once, in one
+    # call, and the replicate loop fetches row n = 100 for its draws and then
+    # for s_n
     n_grid = tuple(9000 * 2 ** j for j in range(6))  # top 288000: five chunks
     calls = []
     weights = ContaminationScheme.weights
@@ -101,9 +101,7 @@ def test_run_experiment_walks_the_grid_once(monkeypatch):
     chunk, top = analytic._CHUNK, n_grid[-1]
     walk = [(lo + 1, min(lo + chunk, top)) for lo in range(0, top, chunk)]
     assert len(walk) == 5
-    block = analytic._BLOCK
-    rows = [(lo + 1, min(lo + block, top)) for lo in range(0, top, block)]
-    assert calls == walk + rows + [(1, config.n), (1, config.n)]
+    assert calls == walk + [(1, top)] + [(1, config.n), (1, config.n)]
 
 
 def test_emit_json_streams_the_report(small_report, tmp_path):
@@ -164,6 +162,31 @@ def test_emit_svg_contains_scatter_line_and_annotation(small_report, tmp_path):
     assert body.count("<circle") == 199
     assert body.count("<line") == 1
     assert "Lindeberg index: 0.2857" in body
+
+
+@pytest.mark.parametrize("exists", [False, True])
+@pytest.mark.parametrize("fails", ["write", "replace"])
+def test_write_atomic_leaves_nothing_behind_when_it_fails(fails, exists, tmp_path, monkeypatch):
+    # the temporary .part file goes, and the target is not created or keeps its bytes
+    target = tmp_path / "report.json"
+    if exists:
+        target.write_bytes(b"old bytes")
+
+    def chunks():
+        yield "new bytes"
+        if fails == "write":
+            raise OSError("disk full")
+
+    def refuse(src, dst):
+        raise OSError("replace refused")
+
+    if fails == "replace":
+        monkeypatch.setattr(experiment.os, "replace", refuse)
+    with pytest.raises(OSError, match="disk full" if fails == "write" else "replace refused"):
+        experiment._write_atomic(str(target), chunks(), force=True)
+    assert [path.name for path in tmp_path.iterdir()] == (["report.json"] if exists else [])
+    if exists:
+        assert target.read_bytes() == b"old bytes"
 
 
 def test_emitters_refuse_overwrite(small_report, tmp_path):
@@ -265,6 +288,22 @@ def test_load_tabular_scheme_bad_row(tmp_path):
         load_tabular_scheme(str(path))
 
 
+def test_cli_names_a_tabular_weight_out_of_range(tmp_path, capsys):
+    table = tmp_path / "scheme.csv"
+    table.write_text("p_k,sigma2_k\n0.5,2.0\n1.5,3.0\n")
+    assert main(["--scheme", "tabular", "--tabular", str(table)]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"error: {table}: p_k out of [0, 1] at index 2: 1.5\n"
+
+
+def test_load_tabular_scheme_skips_blank_rows(tmp_path):
+    # rows with no cells or blank cells only, anywhere after the header
+    plain, blanks = tmp_path / "plain.csv", tmp_path / "blanks.csv"
+    plain.write_text("p_k,sigma2_k\n0.5,2.0\n0.25,3.0\n0.125,4.0\n")
+    blanks.write_text("p_k,sigma2_k\n\n0.5,2.0\n   \n, \n0.25,3.0\n\t,\n\n0.125,4.0\n \n")
+    want, got = (load_tabular_scheme(str(path)) for path in (plain, blanks))
+    assert (got.p_table, got.sigma2_table) == (want.p_table, want.sigma2_table)
+
+
 def test_load_tabular_scheme_skips_a_byte_order_mark(tmp_path):
     # as Excel's "CSV UTF-8" writes it
     path = tmp_path / "scheme.csv"
@@ -341,10 +380,16 @@ def test_cli_config_file_and_precedence(tmp_path, capsys):
 
 
 def test_cli_validation_exit_code(capsys):
-    # a bad scheme parameter and a bad grid: exit 2 and one line naming the fault
+    # a bad scheme parameter, grid, worker count or seed: exit 2 and one line
+    # naming the fault
     for flags, message in ((["--p", "1.5"], "power-law weight p must lie in (0, 1), got 1.5"),
                            (["--p", "0.1", "--n-grid", "10,20"],
-                            "n grid needs at least 6 points, got 2")):
+                            "n grid needs at least 6 points, got 2"),
+                           (["--p", "0.1", "--workers", "0"], "workers must be >= 1, got 0"),
+                           (["--p", "0.1", "--seed=-1"],
+                            "seed must be an unsigned 64-bit integer, got -1"),
+                           (["--p", "0.1", "--seed", str(2 ** 64)],
+                            "seed must be an unsigned 64-bit integer, got 18446744073709551616")):
         code = main(["--scheme", "powerlaw", "--a", "1", "--s2", "4", "--b", "1", *flags])
         assert code == EXIT_VALIDATION
         assert capsys.readouterr().err == f"error: {message}\n"
@@ -477,6 +522,14 @@ def test_cli_refuses_overwrite_then_force(tmp_path, capsys):
             "--out", str(tmp_path / "out"), "--workers", "1", *_grid_args()]
     assert main(args) == EXIT_OK
     assert main(args) == EXIT_IO
+    # force = no in a file refuses too, and the --force flag overrides it
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("force = no\n")
+    capsys.readouterr()
+    assert main(["--config", str(cfg), *args]) == EXIT_IO
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and err.startswith("error: refusing to overwrite"), err
+    assert main(["--config", str(cfg), *args, "--force"]) == EXIT_OK
     assert main(args + ["--force"]) == EXIT_OK
 
 

@@ -139,11 +139,11 @@ def test_replicate_splits_tasks_by_the_capped_pool(monkeypatch):
             return map(fn, self.tasks)
 
     stats_calls = []
-    array_stats = montecarlo.array_stats
+    grid_walk = montecarlo.grid_walk
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     _pin_cpus(monkeypatch, 2)
-    monkeypatch.setattr(montecarlo, "array_stats",
-                        lambda *args: stats_calls.append(args) or array_stats(*args))
+    monkeypatch.setattr(montecarlo, "grid_walk",
+                        lambda *args: stats_calls.append(args) or grid_walk(*args))
     runs = {w: replicate(400, 20, CASE3, NORMAL, 0.0, 5, workers=w) for w in (1, 2, 10 ** 6)}
     assert [pool.size for pool in pools] == [2, 2]
     assert all(1 < len(pool.tasks) <= 4 * pool.size for pool in pools)

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from contamclt import rng
-from contamclt.analytic import array_stats
+from contamclt.analytic import grid_walk
 from contamclt.model import ContaminationScheme, StdNormal, base_distribution
 from contamclt.montecarlo import _BLOCK_ELEMS, replicate
 from contamclt.rng import stream_generator
@@ -135,7 +135,7 @@ def test_replicate_equals_row_by_row_oracle_replay(workers):
             got = replicate(R, n, scheme, base_distribution(kind), 0.0, seed,
                             workers=workers).samples
             p, s2 = scheme.weights(n)
-            s_n = math.sqrt(array_stats(scheme, n).s2_n)
+            s_n = math.sqrt(grid_walk(scheme, (n,))[0].s2_n)
             want = []
             for i in range(R):
                 gen = oracle_generator(seed, i)
