@@ -53,6 +53,27 @@ MUTANTS = (
     Mutant("drop-state-carry", "src/contamclt/rng.py",
            "s_hi + (s_lo < inc_lo)", "s_hi",
            ("tests/test_rng.py::test_pcg64_word_arithmetic_matches_python_ints",)),
+    # max|x| read from the row maxima alone, so a large negative entry gets too small a sigma
+    Mutant("top-from-maxima-only", "src/contamclt/analytic.py",
+           "np.maximum(r.max(axis=1), -r.min(axis=1))", "r.max(axis=1)",
+           ("tests/test_exact_sums.py::test_matches_fsum",)),
+    # the split skips the last column piece of a narrow scratch, or the whole block of a wide one
+    Mutant("last-column-piece-skipped", "src/contamclt/analytic.py",
+           "range(q.shape[1], n, q.shape[1]), axis=1):",
+           "range(q.shape[1], n, q.shape[1]), axis=1)[:-1]:",
+           ("tests/test_exact_sums.py::test_matches_fsum",)),
+    # tau keeps only the last column piece's sum, which a block-wide scratch never shows
+    Mutant("tau-last-piece-only", "src/contamclt/analytic.py",
+           "tau += qx.sum(axis=1)", "tau = qx.sum(axis=1)",
+           ("tests/test_exact_sums.py::test_matches_fsum",)),
+    # a long row's select tests its base draws, not its uniforms, against p_k
+    Mutant("mask-compares-draws", "src/contamclt/model.py",
+           "where=mask)", "where=row < p)",
+           ("tests/test_rng.py::test_replicate_equals_row_by_row_oracle_replay",)),
+    # a long row's base-draw pass writes every piece at index 0
+    Mutant("draw-piece-restarts", "src/contamclt/model.py",
+           "dist.draw(rng, row[lo:lo + w])", "dist.draw(rng, row[:w])",
+           ("tests/test_rng.py::test_replicate_equals_row_by_row_oracle_replay",)),
     # zip takes one generator too many when gens is not last
     Mutant("gens-first", "src/contamclt/model.py",
            "for row, ui, rng in zip(out, u, gens):", "for rng, row, ui in zip(gens, out, u):",
@@ -62,6 +83,14 @@ MUTANTS = (
     Mutant("u-le-p", "src/contamclt/model.py",
            "where=u < p)", "where=u <= p)",
            ("tests/test_model.py::test_an_index_whose_uniform_equals_p_takes_the_base_branch",)),
+    # a long row's uniforms held whole, as a block-wide scratch
+    Mutant("long-row-whole-uniforms", "src/contamclt/montecarlo.py",
+           "min(p.size, _PIECE) if step == 1 else p.size", "p.size",
+           ("tests/test_montecarlo.py::test_a_long_row_holds_its_weights_values_and_a_mask",)),
+    # the row weights kept alive through s_n's walk
+    Mutant("weights-held-through-walk", "src/contamclt/montecarlo.py",
+           "del p, sigma, tasks, _", "del tasks, _",
+           ("tests/test_montecarlo.py::test_a_long_row_holds_its_weights_values_and_a_mask",)),
     # a task of any size, so one derivation may hold every stream of the run
     Mutant("drop-task-cap", "src/contamclt/montecarlo.py",
            "min(_TASK_REPS, R if pool_size == 1 else -(-R // (4 * pool_size)))",
@@ -132,6 +161,10 @@ MUTANTS = (
            "at index {i + 1}", "at index {i}",
            ("tests/test_model.py::"
             "test_tabular_names_the_first_bad_index_as_the_per_index_loop",)),
+    # nested or scalar tabular columns taken as flat ones
+    Mutant("tabular-takes-nested", "src/contamclt/model.py",
+           "if p_arr.ndim != 1 or s_arr.ndim != 1:", "if False:",
+           ("tests/test_model.py::test_tabular_refuses_unequal_nested_or_scalar_sequences",)),
     # tabular weights read from one entry past start - 1
     Mutant("weights-offset-start", "src/contamclt/model.py",
            "np.frombuffer(self.p_table)[start - 1:n]", "np.frombuffer(self.p_table)[start:n]",

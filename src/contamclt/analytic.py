@@ -49,15 +49,16 @@ _LEAF = 128  # keeps exact_sums' summation tree about 128 + n/128 deep, not n
 
 def exact_sums(block, scratch=None) -> np.ndarray:
     """Correctly rounded sum of each row of a 2-D float64 block, which it overwrites,
-    as it does ``scratch``, a float64 array of the block's shape, if one is given.
+    as it does ``scratch``, float64 with the block's rows and any width, if given.
 
     Equal bit for bit to ``math.fsum(row.tolist())`` for every row, with the
     work vectorized over the block.  The error-free extraction of Rump, Ogita
     and Oishi ("Accurate floating-point summation", SIAM J. Sci. Comput.
     2008) splits each row x: with a power of two sigma > 2 n max|x|,
     q = (sigma + x) - sigma and r = x - q are exact, every q is a multiple of
-    ulp(sigma)/2 and |sum q| < sigma, so tau = ``q.sum`` is exact in any
-    order, and |r| <= sigma 2**-53.
+    ulp(sigma)/2 and every sum of q's is below sigma in magnitude, so it is
+    exact: tau, summed in column pieces of the scratch's width, is exact in
+    any order, and |r| <= sigma 2**-53.
 
     So S = tau + sum r.  rho = fl(sum r) adds r in leaves of _LEAF entries,
     then the k full leaves' sums and the rest's sum: whatever numpy's order
@@ -82,15 +83,17 @@ def exact_sums(block, scratch=None) -> np.ndarray:
     if n == 0:
         return out
     q = np.empty_like(r) if scratch is None else scratch
-    top = np.abs(r, out=q).max(axis=1)
+    top = np.maximum(r.max(axis=1), -r.min(axis=1))  # max|x|, nan if the row holds one
     for i in np.flatnonzero(~(top < _SPLIT_LIMIT / (2.0 * n))):  # inf and nan too
         out[i] = math.fsum(r[i])
         r[i], top[i] = 0.0, 0.0  # an all-zero row, which keeps its fsum value
     sigma = np.ldexp(1.0, np.frexp(2.0 * n * top)[1])[:, None]
-    np.add(r, sigma, out=q)
-    q -= sigma
-    tau = q.sum(axis=1)
-    r -= q
+    tau = np.zeros(rows)
+    for x in np.split(r, range(q.shape[1], n, q.shape[1]), axis=1):  # views as wide as q
+        qx = np.add(x, sigma, out=q[:, :x.shape[1]])
+        qx -= sigma
+        tau += qx.sum(axis=1)
+        x -= qx
     k = n // _LEAF
     leaves = r[:, :k * _LEAF].reshape(rows, k, _LEAF).sum(axis=2)  # reshapes a view
     rho = leaves.sum(axis=1) + r[:, k * _LEAF:].sum(axis=1)

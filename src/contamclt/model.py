@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import enum
 import math
-from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,9 +64,10 @@ class ContaminationScheme:
 
     @staticmethod
     def tabular(p_k, sigma2_k) -> "ContaminationScheme":
-        p_table, s_table = (x if type(x) is bytes else array("d", x).tobytes()
-                            for x in (p_k, sigma2_k))
-        p_arr, s_arr = np.frombuffer(p_table), np.frombuffer(s_table)
+        p, s = (x if type(x) is bytes else np.asarray(x, dtype=np.float64) for x in (p_k, sigma2_k))
+        p_arr, s_arr = (np.frombuffer(x) if type(x) is bytes else x for x in (p, s))
+        if p_arr.ndim != 1 or s_arr.ndim != 1:  # a scalar, or nested sequences
+            raise TypeError("tabular weights must be one-dimensional sequences of floats")
         if p_arr.size == 0 or p_arr.size != s_arr.size:
             raise ValueError("tabular scheme needs equal-length, nonempty sequences")
         p_ok = (p_arr >= 0.0) & (p_arr <= 1.0)  # nan fails every comparison
@@ -77,7 +77,7 @@ class ContaminationScheme:
             what, value = (("p_k out of [0, 1]", p_arr[i]) if not p_ok[i]
                            else ("sigma2_k below 1", s_arr[i]))
             raise ValueError(f"{what} at index {i + 1}: {float(value)}")
-        return ContaminationScheme(SchemeKind.TABULAR, p_table=p_table, sigma2_table=s_table)
+        return ContaminationScheme(SchemeKind.TABULAR, p_table=bytes(p), sigma2_table=bytes(s))
 
     @staticmethod
     def uncontaminated() -> "ContaminationScheme":
@@ -228,13 +228,24 @@ def draw_centered_row(p: np.ndarray, sigma: np.ndarray, dist: BaseDistribution,
                       gens, out: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Centered observations (X_k - mu), k = 1..n, into each row of the block ``out``.
 
-    Row i takes the i-th generator of ``gens`` and consumes n uniforms (into
-    row i of the scratch ``u``), then n base draws (numpy's sampler bits,
-    uniform as 2*sqrt(3)*U - sqrt(3)), whichever branch each index takes, so
-    the stream layout is fixed; one select over the block then scales by
-    sigma_k where u_k < p_k.  Returns ``out``; mu cancels before any rounding.
+    Row i takes the i-th generator of ``gens`` and consumes n uniforms, then n
+    base draws (numpy's sampler bits, uniform as 2*sqrt(3)*U - sqrt(3)), whatever
+    branch each index takes, so the stream layout is fixed.  A scratch ``u`` shaped
+    like ``out`` takes the uniforms, and one select scales by sigma_k where
+    u_k < p_k; a narrower ``u`` takes a row's in pieces, kept as a 1-byte mask,
+    and numpy's samplers then fill the row piece by piece, in stream order.
+    Returns ``out``; mu cancels before any rounding.
     """
-    for row, ui, rng in zip(out, u, gens):  # gens last, so none is taken too many
-        rng.random(out=ui)
-        dist.draw(rng, row)
-    return np.multiply(out, sigma, out=out, where=u < p)
+    if u.shape[1] >= out.shape[1]:
+        for row, ui, rng in zip(out, u, gens):  # gens last, so none is taken too many
+            rng.random(out=ui)
+            dist.draw(rng, row)
+        return np.multiply(out, sigma, out=out, where=u < p)
+    mask, w = np.empty(out.shape[1], dtype=bool), u.shape[1]
+    for row, rng in zip(out, gens):
+        for lo in range(0, row.size, w):
+            np.less(rng.random(out=u[0, :row.size - lo]), p[lo:lo + w], out=mask[lo:lo + w])
+        for lo in range(0, row.size, w):
+            dist.draw(rng, row[lo:lo + w])
+        np.multiply(row, sigma, out=row, where=mask)
+    return out

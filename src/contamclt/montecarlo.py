@@ -54,6 +54,8 @@ class ReplicationResult:
 # Replicate rows are stacked into blocks of at most this many elements (at
 # least one row) and each block is reduced by one ``exact_sums`` call.
 _BLOCK_ELEMS = 1 << 16
+# A row longer than half a block draws its uniforms and is split in pieces of this many.
+_PIECE = 1 << 14
 # A task holds at most this many replicates: deriving their streams peaks at
 # about 244 B a stream, so at most 8 MB whatever R is.
 _TASK_REPS = 1 << 15
@@ -64,7 +66,8 @@ def _replicate_chunk(args) -> np.ndarray:
     p, sigma, dist, master_seed, lo, hi = args
     step = max(1, _BLOCK_ELEMS // p.size)
     gens = _rng.stream_generator(master_seed, lo, hi)
-    block, u = np.empty((2, min(step, hi - lo), p.size))  # draws, their uniforms, sum scratch
+    block = np.empty((min(step, hi - lo), p.size))
+    u = np.empty((len(block), min(p.size, _PIECE) if step == 1 else p.size))  # uniforms, sum scratch
     out = np.empty(hi - lo, dtype=np.float64)
     for start in range(0, hi - lo, step):
         k = min(step, hi - lo - start)
@@ -89,7 +92,7 @@ def replicate(R: int, n: int, scheme: ContaminationScheme, dist: BaseDistributio
     never read and stays only for ``perfbench/tracing.py``'s positional call.
     ``workers`` spreads the row sums over at most that many processes, never
     more than tasks or usable CPUs, and never changes a value.  A task carries
-    p_k and sigma_k (16n bytes), never the scheme, and s_n comes after the draws.
+    p_k and sigma_k (16n bytes), never the scheme, all let go before s_n's walk.
     It holds the R sums once (8R bytes), writing each task's in place as it
     arrives, and KS adds one sorted copy.
     """
@@ -110,6 +113,7 @@ def replicate(R: int, n: int, scheme: ContaminationScheme, dist: BaseDistributio
           else nullcontext()) as pool:
         for (*_, lo, hi), sums in zip(tasks, (pool.map if pool else map)(_replicate_chunk, tasks)):
             samples[lo:hi] = sums
+    del p, sigma, tasks, _  # the walk for s_n holds 2**16 indices at a time, not the row
     s_n = math.sqrt(grid_walk(scheme, (n,))[0].s2_n)
     samples /= s_n
     return ReplicationResult(samples, s_n, kolmogorov_distance_to_normal(samples))

@@ -33,8 +33,8 @@ def _fsum_or_error(row):
 
 
 def _assert_matches_fsum(rows):
-    """exact_sums on the rows as one block, with a scratch block of nan, equals
-    fsum row by row."""
+    """exact_sums on the rows as one block, with a scratch of nan as wide as the
+    block, a third as wide or one column wide, equals fsum row by row."""
     width = len(rows[0])
     block = np.array(rows, dtype=np.float64).reshape(len(rows), width)
     want = [_fsum_or_error(row) for row in block.tolist()]
@@ -43,9 +43,10 @@ def _assert_matches_fsum(rows):
         with pytest.raises(errors[0]):
             exact_sums(block)
         return
-    got = exact_sums(block, np.full_like(block, np.nan))  # scratch contents never matter
-    assert got.shape == (len(rows),)
-    assert got.view(np.int64).tolist() == np.array(want).view(np.int64).tolist()
+    for w in (width, max(1, width // 3), 1):  # a narrower scratch takes column pieces
+        got = exact_sums(block.copy(), np.full((len(rows), w), np.nan))  # contents never matter
+        assert got.shape == (len(rows),)
+        assert got.view(np.int64).tolist() == np.array(want).view(np.int64).tolist(), w
 
 
 def _blocks(row, min_width=1, wide=False):
@@ -199,7 +200,8 @@ def _small_total_row():
 def test_long_row_with_a_small_total_reaches_the_fsum_fallback(fsum_calls):
     row = _small_total_row()
     _assert_matches_fsum([row.tolist()])
-    assert [len(values) for values in fsum_calls] == [1 + row.size]  # tau, then r
+    # tau, then r, once for each of _assert_matches_fsum's three scratch widths
+    assert [len(values) for values in fsum_calls] == [1 + row.size] * 3
 
 
 def test_fsum_fallback_streams_the_row():
@@ -224,7 +226,7 @@ def test_near_ties_reach_the_fsum_fallback(fsum_calls):
     rows = [[1.5, u, 0.0], [1.5, u, u ** 2], [1.5, u, -u ** 2],
             [1.0, u, 0.0], [1.0, u, u ** 2], [1.0, -u / 2, -u ** 2]]
     _assert_matches_fsum(rows)
-    assert [len(values) for values in fsum_calls] == [4] * len(rows)
+    assert [len(values) for values in fsum_calls] == [4] * len(rows) * 3  # per scratch width
 
 
 _UNIT_BITS = 1075  # every float is a whole number of units of 2**-1075

@@ -11,8 +11,8 @@ import pytest
 from scipy.special import ndtr, ndtri
 
 from contamclt import montecarlo
-from contamclt.analytic import kolmogorov_distance_to_normal
-from contamclt.model import ContaminationScheme, StdNormal
+from contamclt.analytic import grid_walk, kolmogorov_distance_to_normal
+from contamclt.model import ContaminationScheme, StdLaplace, StdNormal
 from contamclt.montecarlo import default_t_grid, qq_points, replicate
 from stream_oracle import oracle_generator
 
@@ -356,6 +356,29 @@ def test_replicate_memory_is_the_sums_and_one_sorted_copy(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 2.5 * 8 * r
+
+
+@pytest.mark.parametrize("dist", [NORMAL, StdLaplace()], ids=lambda d: d.kind)
+def test_a_long_row_holds_its_weights_values_and_a_mask(dist, monkeypatch):
+    # a row longer than a block holds p_k and sigma_k (16n bytes), its values
+    # (8n) and the mask u_k < p_k (n), as its uniforms and base draws come in
+    # 2**14-element pieces: a row of uniforms, or Laplace's copy of its draws,
+    # would add 8n.  The weights are let go before s_n's walk begins.
+    n, at_walk = 2 ** 20, []
+
+    def walk(scheme, grid):
+        at_walk.append(tracemalloc.get_traced_memory()[0])
+        return grid_walk(scheme, grid)
+
+    monkeypatch.setattr(montecarlo, "grid_walk", walk)
+    tracemalloc.start()
+    try:
+        replicate(2, n, ContaminationScheme.power_law(0.2, 1.0, 20.0, 1.0), dist, 0.0, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 26 * n
+    assert at_walk[0] < n
 
 
 def test_qq_default_grid_has_199_points():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from contamclt import rng
 from contamclt.analytic import grid_walk
 from contamclt.model import ContaminationScheme, StdNormal, base_distribution
-from contamclt.montecarlo import _BLOCK_ELEMS, replicate
+from contamclt.montecarlo import _BLOCK_ELEMS, _PIECE, replicate
 from contamclt.rng import stream_generator
 from stream_oracle import numpy_draws, oracle_generator, split_seed
 
@@ -123,15 +123,17 @@ def test_replicate_rejects_seeds_outside_uint64(seed, workers):
 def test_replicate_equals_row_by_row_oracle_replay(workers):
     # the base draws come from numpy's own samplers: no golden output uses
     # uniform or laplace, so this is their only independent bit check; a row
-    # of 70 000 is longer than a whole reduction block; 40 rows of 5000 make
+    # of 70 000 is longer than a whole reduction block, and its draws come in
+    # pieces of 2**14 with a partial last one; at 65 537 the last piece holds
+    # one element, at 131 072 every piece is whole; 40 rows of 5000 make
     # three blocks of 13 and one of 1 from one task's streams, so a skipped
     # stream fails; 700 rows of 200 make two full blocks of 327 and a partial one
     seed = 0xDEADBEEFCAFEF00D
     scheme = ContaminationScheme.power_law(0.3, 0.5, 9.0, 1.0)
-    assert 70_000 > _BLOCK_ELEMS
+    assert 70_000 > _BLOCK_ELEMS and 65_537 % _PIECE == 1 and 131_072 % _PIECE == 0
     assert _BLOCK_ELEMS // 5000 == 13 and _BLOCK_ELEMS // 200 == 327
     for kind in ("normal", "uniform", "laplace"):
-        for R, n in ((37, 5), (2, 70_000), (40, 5000), (700, 200)):
+        for R, n in ((37, 5), (2, 70_000), (2, 65_537), (2, 131_072), (40, 5000), (700, 200)):
             got = replicate(R, n, scheme, base_distribution(kind), 0.0, seed,
                             workers=workers).samples
             p, s2 = scheme.weights(n)
