@@ -111,6 +111,19 @@ MUTANTS = (
            ("tests/test_montecarlo.py::test_inverse_exact_at_ecdf_levels",
             "tests/test_analytic.py::"
             "test_qq_equals_the_whole_array_search_across_level_blocks")),
+    # the QQ levels start at t = 0 and stop one short of 0.995
+    Mutant("qq-levels-shifted", "src/contamclt/montecarlo.py",
+           "np.arange(1, 200", "np.arange(0, 199",
+           ("tests/test_analytic.py::"
+            "test_qq_equals_the_whole_array_search_across_level_blocks",)),
+    # the tabular path left among the config's fields after the scheme is read
+    Mutant("tabular-path-kept", "src/contamclt/cli.py",
+           'values.pop("tabular", None)', 'values.get("tabular")',
+           ("tests/test_experiment_cli.py::test_cli_tabular_roundtrip",)),
+    # a condition's reported last value read from the first grid point
+    Mutant("last-from-first", "src/contamclt/experiment.py",
+           "est.values[-1][1]", "est.values[0][1]",
+           ("tests/test_golden.py::test_fresh_run_matches_committed_outputs[fig5]",)),
     # KS pairs each level block with the front of the sorted copy
     Mutant("ks-block-from-front", "src/contamclt/analytic.py",
            "phi = c[lo:lo + levels.size]", "phi = c[:levels.size]",

@@ -174,7 +174,6 @@ class LimitEstimate:
     """
 
     values: tuple[tuple[int, float], ...]
-    last: float
     trend: Trend
     estimate: float | None
 
@@ -246,8 +245,7 @@ def _limit_estimate(scheme: ContaminationScheme, n_grid, value_fn) -> LimitEstim
               for s in grid_walk(scheme, validate_geometric_grid(n_grid))]
     vals = [v for _, v in values]
     trend, estimate = _classify_trend(vals)
-    return LimitEstimate(values=tuple(values), last=vals[-1], trend=trend,
-                         estimate=estimate)
+    return LimitEstimate(values=tuple(values), trend=trend, estimate=estimate)
 
 
 def condition_a(scheme: ContaminationScheme, n_grid=DEFAULT_N_GRID) -> LimitEstimate:

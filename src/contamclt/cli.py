@@ -135,10 +135,11 @@ def config_from_settings(settings: dict) -> ExperimentConfig:
     values = {key: _convert(key, text) for key, text in settings.items()}
     kind = SchemeKind(values.pop("scheme", SchemeKind.POWER_LAW.value))
     power = {key: values.pop(key) for key in ("p", "a", "s2", "b") if key in values}
+    table = values.pop("tabular", None)
     if kind is SchemeKind.TABULAR:
-        if not values.get("tabular"):
+        if not table:
             raise ValueError("scheme 'tabular' needs a tabular CSV path")
-        scheme = load_tabular_scheme(values["tabular"])
+        scheme = load_tabular_scheme(table)
     elif kind is SchemeKind.UNCONTAMINATED:
         scheme = ContaminationScheme.uncontaminated()
     else:

@@ -37,13 +37,14 @@ from .analytic import (
     validate_geometric_grid,
 )
 from .model import ContaminationScheme, SchemeKind, base_distribution
-from .montecarlo import QQPoint, default_t_grid, qq_points, replicate
+from .montecarlo import QQPoint, qq_points, replicate
 
 # Fixed default seed so fresh runs of the shipped configs reproduce each
 # other exactly.
 DEFAULT_SEED = 2718281828
 
-FORMATS = ("csv", "svg", "json")
+_FILES = {"csv": "qq.csv", "svg": "qq.svg", "json": "report.json"}
+FORMATS = tuple(_FILES)
 
 
 @dataclass(frozen=True)
@@ -51,9 +52,8 @@ class ExperimentConfig:
     """Everything that identifies an experiment.
 
     Execution details (output directory, formats, worker count, overwrite
-    flag, tabular source path) do not affect any computed number and are
-    excluded from equality and from the report echo; the tabular path is
-    recorded as the scheme's ``source`` instead.
+    flag) do not affect any computed number and are excluded from equality
+    and from the report echo; a tabular scheme holds no path to its table.
     """
 
     scheme: ContaminationScheme
@@ -68,7 +68,6 @@ class ExperimentConfig:
     formats: tuple[str, ...] = field(default=FORMATS, compare=False)
     workers: int = field(default=1, compare=False)
     force: bool = field(default=False, compare=False)
-    tabular: str | None = field(default=None, compare=False)
 
     def validated(self) -> "ExperimentConfig":
         base_distribution(self.dist)
@@ -150,8 +149,6 @@ class ExperimentReport:
         elif cfg.scheme.kind is SchemeKind.TABULAR:
             scheme.update(p_k=table(memoryview(cfg.scheme.p_table).cast("d")),
                           sigma2_k=table(memoryview(cfg.scheme.sigma2_table).cast("d")))
-            if cfg.tabular is not None:
-                scheme["source"] = cfg.tabular
         echo = {"scheme": scheme}
         for name in _ECHOED:
             value = getattr(cfg, name)
@@ -170,7 +167,7 @@ class ExperimentReport:
             "conditions": {
                 name: {
                     "trend": est.trend.value,
-                    "last": est.last,
+                    "last": est.values[-1][1],
                     "estimate": est.estimate,
                     "values": [[n, v] for n, v in est.values],
                 }
@@ -233,7 +230,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     an unwritable directory fails fast; each file is then written atomically.
     """
     config = config.validated()
-    targets = _output_targets(config)
+    targets = {fmt: os.path.join(config.out, _FILES[fmt]) for fmt in config.formats}
     _check_targets(config, targets)
 
     stages, clock = {}, [time.perf_counter()]
@@ -260,7 +257,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
 
     result = timed("replicate", replicate(config.reps, config.n, config.scheme, dist,
                                           config.mu, config.seed, workers=config.workers))
-    qq = timed("qq", qq_points(result.samples, default_t_grid()))
+    qq = timed("qq", qq_points(result.samples))
 
     assumptions = (
         f"base distribution '{config.dist}' is a modeling choice; "
@@ -283,11 +280,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         _EMITTERS[fmt](report, path, force=config.force)
     timed("emit")
     return report
-
-
-def _output_targets(config: ExperimentConfig) -> dict:
-    names = {"csv": "qq.csv", "svg": "qq.svg", "json": "report.json"}
-    return {fmt: os.path.join(config.out, names[fmt]) for fmt in config.formats}
 
 
 def _check_targets(config: ExperimentConfig, targets: dict) -> None:

@@ -30,9 +30,7 @@ from .analytic import exact_sums, grid_walk, kolmogorov_distance_to_normal
 from .model import BaseDistribution, ContaminationScheme, draw_centered_row
 
 
-def default_t_grid() -> np.ndarray:
-    """199 probability levels t = 0.005, 0.010, ..., 0.995."""
-    return np.arange(1, 200, dtype=np.float64) * 5.0 / 1000.0
+_T_GRID = np.arange(1, 200, dtype=np.float64) * 5.0 / 1000.0  # QQ levels 0.005, ..., 0.995
 
 
 @dataclass(frozen=True)
@@ -119,8 +117,8 @@ def replicate(R: int, n: int, scheme: ContaminationScheme, dist: BaseDistributio
     return ReplicationResult(samples, s_n, kolmogorov_distance_to_normal(samples))
 
 
-def qq_points(samples, t_grid) -> tuple[QQPoint, ...]:
-    """One (Phi^-1(t), E^-1(t)) pair per grid level t, sorted by t.
+def qq_points(samples) -> tuple[QQPoint, ...]:
+    """One (Phi^-1(t), E^-1(t)) pair at each level t = 0.005, 0.010, ..., 0.995.
 
     E^-1(t) is the generalized inverse of the samples' empirical CDF: the
     smallest order statistic x_(i) whose level i/R, as a float, reaches t.
@@ -130,14 +128,7 @@ def qq_points(samples, t_grid) -> tuple[QQPoint, ...]:
     xs = np.sort(np.asarray(samples, dtype=np.float64).ravel())
     if xs.size == 0:
         raise ValueError("need at least one sample")
-    arr = np.asarray(t_grid, dtype=np.float64).ravel()
-    if arr.size == 0:
-        raise ValueError("t grid must be nonempty")
-    if not np.all((arr > 0.0) & (arr < 1.0)):  # nan fails both tests
-        raise ValueError("t grid must lie strictly inside (0, 1)")
-    if np.any(np.diff(arr) <= 0.0):
-        raise ValueError("t grid must be strictly increasing")
     r = xs.size  # below[j]: how many levels i/R lie below t_j
-    below = [bisect.bisect_left(range(1, r + 1), t, key=lambda i: i / r) for t in arr.tolist()]
+    below = [bisect.bisect_left(range(1, r + 1), t, key=lambda i: i / r) for t in _T_GRID.tolist()]
     return tuple(QQPoint(float(t), float(q), float(e))
-                 for t, q, e in zip(arr, ndtri(arr), xs[below]))
+                 for t, q, e in zip(_T_GRID, ndtri(_T_GRID), xs[below]))

@@ -38,7 +38,7 @@ from contamclt.model import (
     StdUniform,
     base_distribution,
 )
-from contamclt.montecarlo import default_t_grid, qq_points
+from contamclt.montecarlo import qq_points
 
 NORMAL = StdNormal()
 CASE3 = ContaminationScheme.power_law(0.1, 1.0, 4.0, 1.0)
@@ -244,7 +244,7 @@ def test_condition_a_diverges_for_quadratic_inflation():
     est = condition_a(scheme, SMALL_GRID)
     assert est.trend is Trend.DIVERGING
     # (1/n^2) sum k^2 ~ n/3
-    assert est.last == pytest.approx(n_max / 3.0, rel=0.01)
+    assert est.values[-1][1] == pytest.approx(n_max / 3.0, rel=0.01)
 
 
 def test_condition_b_sublinear_inflation_vanishes():
@@ -711,11 +711,11 @@ def test_ks_permutation_invariant_and_bounded(samples, rand):
 
 def test_normal_cdf_quantile_basics():
     # the normal quantile the program reports: the QQ points' theoretical column
-    grid = default_t_grid()
-    theoretical = [pt.theoretical for pt in qq_points([0.0, 1.0], grid)]
-    expected = [NormalDist().inv_cdf(t) for t in grid]
+    pts = qq_points([0.0, 1.0])
+    theoretical = [pt.theoretical for pt in pts]
+    expected = [NormalDist().inv_cdf(pt.t) for pt in pts]
     assert theoretical == pytest.approx(expected, abs=1e-14)
-    assert qq_points([0.0], [0.5])[0].theoretical == 0.0
+    assert {pt.t: pt.theoretical for pt in pts}[0.5] == 0.0
 
 
 def test_quantile_cdf_roundtrip():
@@ -725,14 +725,6 @@ def test_quantile_cdf_roundtrip():
         phi = NormalDist().cdf(x)
         assert kolmogorov_distance_to_normal([x]) == pytest.approx(max(phi, 1.0 - phi), abs=1e-14)
     assert kolmogorov_distance_to_normal([1.96]) == pytest.approx(PHI_AT_196, abs=1e-15)
-
-
-def test_normal_domain_errors():
-    # the program takes normal quantiles only through qq_points, which must
-    # refuse every level outside the open unit interval before ndtri sees it
-    for bad in (0.0, 1.0, -0.2, 1.4, math.nan):
-        with pytest.raises(ValueError):
-            qq_points([1.0, 2.0], [bad])
 
 
 # R at the edges of the level blocks: one level, a block less one, a whole
@@ -751,27 +743,30 @@ def test_ks_equals_the_whole_array_formula_across_level_blocks(r):
     assert kolmogorov_distance_to_normal(samples) == want
 
 
-@pytest.mark.parametrize("r", BLOCK_EDGE_R)
+# R at the edges of the level blocks, where i/R meets or just misses the
+# study's levels 0.005 * j around 1000 and 5000, and every R up to 400
+QQ_ORACLE_R = (*BLOCK_EDGE_R, 999, 1000, 1001, 4999, 5000, 5001,
+               pytest.param(range(1, 401), id="1..400"))
+
+
+@pytest.mark.parametrize("rs", QQ_ORACLE_R)
 @pytest.mark.parametrize("ties", [True, False])
-def test_qq_equals_the_whole_array_search_across_level_blocks(r, ties):
-    # with ties, draws rounded to 0.01; without, a permutation of 0..R-1, whose
-    # order statistic x_(i) is i - 1, so the value names the index it came from
-    rng = np.random.default_rng(r)
-    samples = np.round(rng.standard_normal(r), 2) if ties else rng.permutation(r).astype(float)
-    xs = np.sort(samples)
-    levels = np.arange(1, r + 1) / r
-    grids = [default_t_grid()]
-    for i in (analytic._BLOCK - 1, analytic._BLOCK, analytic._BLOCK + 1):
-        if i < r:  # the level i/R itself and the floats on either side of it
-            grids.append([np.nextafter(i / r, 0.0), i / r, np.nextafter(i / r, 1.0)])
-    for grid in grids:
-        got = [pt.empirical for pt in qq_points(samples, grid)]
-        assert got == xs[np.searchsorted(levels, grid)].tolist(), grid
+def test_qq_equals_the_whole_array_search_across_level_blocks(rs, ties):
+    # the oracle builds the levels itself and searches all R levels i/R at
+    # once.  With ties, draws rounded to 0.1; without, a permutation of
+    # 0..R-1, whose order statistic x_(i) is i - 1, so the value names the
+    # index it came from
+    t = np.arange(1, 200) * 5.0 / 1000.0
+    for r in rs if isinstance(rs, range) else (rs,):
+        rng = np.random.default_rng(r)
+        samples = np.round(rng.standard_normal(r), 1) if ties else rng.permutation(r).astype(float)
+        pts = qq_points(samples)
+        assert [pt.t for pt in pts] == t.tolist()
+        want = np.sort(samples)[np.searchsorted(np.arange(1, r + 1) / r, t)]
+        assert [pt.empirical for pt in pts] == want.tolist(), r
 
 
-@pytest.mark.parametrize("fn", [kolmogorov_distance_to_normal,
-                                lambda samples: qq_points(samples, default_t_grid())],
-                         ids=["ks", "qq"])
+@pytest.mark.parametrize("fn", [kolmogorov_distance_to_normal, qq_points], ids=["ks", "qq"])
 def test_ks_and_qq_memory_is_one_sorted_copy(fn):
     # one sorted copy (KS takes Phi in place) and levels in blocks; a second
     # array of R floats, such as all R levels at once, breaks the bound
@@ -793,7 +788,7 @@ def test_qq_holds_no_level_block_beyond_its_sorted_copy():
     samples = np.random.default_rng(5).standard_normal(r)
     tracemalloc.start()
     try:
-        qq_points(samples, default_t_grid())
+        qq_points(samples)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

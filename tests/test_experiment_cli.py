@@ -556,7 +556,23 @@ def test_cli_tabular_roundtrip(tmp_path, capsys):
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["classification"] is None
     assert report["config"]["scheme"]["kind"] == "tabular"
-    assert report["config"]["scheme"]["source"] == str(table)
+
+
+def test_cli_tabular_outputs_do_not_depend_on_where_the_table_lives(tmp_path, capsys):
+    # the path is scheme input, not part of the run: the same table read from
+    # two paths of different lengths writes byte-identical outputs
+    rows = "".join(f"0.01,{1.0 + 0.001 * k}\n" for k in range(1, 16001))
+    outputs = []
+    for where in (tmp_path / "a.csv", tmp_path / "a" / "much" / "deeper" / "table.csv"):
+        where.parent.mkdir(parents=True, exist_ok=True)
+        where.write_text("p_k,sigma2_k\n" + rows)
+        out = where.parent / "out"
+        assert main(["--scheme", "tabular", "--tabular", str(where), "--n", "60",
+                     "--reps", "25", "--out", str(out), "--formats", "csv,json",
+                     "--workers", "1", *_grid_args()]) == EXIT_OK
+        outputs.append([(out / name).read_bytes() for name in ("report.json", "qq.csv")])
+    assert outputs[0] == outputs[1]
+    assert "source" not in json.loads(outputs[0][0])["config"]["scheme"]
 
 
 def test_cli_non_utf8_config_file(tmp_path, capsys):
@@ -676,7 +692,7 @@ SAMPLE_VALUES = {
 }
 BASE_LINES = "scheme = powerlaw\np = 0.1\na = 1\ns2 = 4\nb = 1\nworkers = 1\n"
 # the ExperimentConfig field each setting lands in, where the names differ
-FIELD_OF = {"p": "scheme", "a": "scheme", "s2": "scheme", "b": "scheme"}
+FIELD_OF = {"p": "scheme", "a": "scheme", "s2": "scheme", "b": "scheme", "tabular": "scheme"}
 
 
 class _Captured(Exception):
@@ -699,12 +715,18 @@ def _config_from_main(monkeypatch, argv):
 
 @pytest.mark.parametrize("key", list(SETTINGS))
 def test_config_file_line_and_flag_give_the_same_config(key, tmp_path, monkeypatch):
-    value = SAMPLE_VALUES[key]
+    value, base_lines = SAMPLE_VALUES[key], BASE_LINES
+    if key == "tabular":  # a table is read at once: a tabular base, and a second table
+        for name, sigma2 in (("base.csv", 2.0), (value, 3.0)):
+            (tmp_path / name).write_text(f"p_k,sigma2_k\n0.1,{sigma2}\n")
+        value = str(tmp_path / value)
+        base_lines = (base_lines.replace("powerlaw", "tabular")
+                      + f"tabular = {tmp_path / 'base.csv'}\n")
     base_cfg = tmp_path / "base.cfg"
-    base_cfg.write_text(BASE_LINES)
+    base_cfg.write_text(base_lines)
     keyed_cfg = tmp_path / "keyed.cfg"
     # a key may appear once per file, so the keyed line replaces its base line
-    kept = [line for line in BASE_LINES.splitlines() if line.split(" = ")[0] != key]
+    kept = [line for line in base_lines.splitlines() if line.split(" = ")[0] != key]
     keyed_cfg.write_text("\n".join(kept + [f"{key} = {value}"]) + "\n")
     flag = ["--force"] if key == "force" else ["--" + key.replace("_", "-"), value]
 
